@@ -52,17 +52,6 @@ from .pointcount import (
     hodge_from_counts,
     twisted_counts,
 )
-from .repring import (
-    CyclotomicInt,
-    EquivPoly,
-    HodgeTable,
-    ReprClass,
-    decode_characters,
-    dual_table,
-    involution,
-    poincare_dual_epoly,
-    specialize_weight,
-    tate_twist,
-)
+from .repring import CyclotomicInt, HodgeTable, ReprClass, decode_characters
 
 __version__ = "0.1.0"

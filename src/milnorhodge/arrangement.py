@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DuplicateLine, ParseError, ZeroForm
 from .repring import HodgeTable, ReprClass
@@ -78,14 +78,6 @@ class ProjLine:
 
     def eval(self, x: int, y: int, z: int) -> int:
         return self.a * x + self.b * y + self.c * z
-
-
-def _cross(u: Triple, v: Triple) -> Triple:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
 
 
 @dataclass(frozen=True)
@@ -276,16 +268,27 @@ def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4
 # incidence structure
 
 
+def _pair_incidences(lines: Sequence[Triple], point: Callable[[Triple], Triple]) -> dict[Triple, set[int]]:
+    """Group the line pairs by their meeting point.
+
+    ``point`` names the point from the cross product of the two lines: the
+    canonical integer triple over Z, the normalized residue triple over F_q.
+    """
+    incident: dict[Triple, set[int]] = {}
+    for i, (a1, b1, c1) in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            a2, b2, c2 = lines[j]
+            pt = point((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
+            incident.setdefault(pt, set()).update((i, j))
+    return incident
+
+
 def intersection_data(arr: LineArrangement) -> list[IntersectionPoint]:
     """All rank-2 flats; every unordered line pair lies in exactly one."""
     if arr.builtin == "ceva":
         return _ceva_points()
     lines = arr.lines
-    incident: dict[Triple, set[int]] = {}
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            pt = _canonical_triple(_cross(lines[i].coeffs, lines[j].coeffs))
-            incident.setdefault(pt, set()).update((i, j))
+    incident = _pair_incidences([line.coeffs for line in lines], _canonical_triple)
     out = []
     for pt in sorted(incident):
         idx = incident[pt]

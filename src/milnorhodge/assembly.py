@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .arrangement import (
     CombInvariants,
@@ -35,8 +34,8 @@ from .arrangement import (
     weak_comb_data,
 )
 from .errors import DegreeTooSmall, NegativeMultiplicity, SumRuleViolation
-from .localhodge import LocalHodgeTable, OrdinarySing, link_epoly, local_hodge_table
-from .repring import EquivPoly, HodgeTable, ReprClass
+from .localhodge import OrdinarySing, link_epoly, local_hodge_table
+from .repring import HodgeTable, ReprClass
 
 __all__ = [
     "SurfaceH3Data",
@@ -59,12 +58,13 @@ __all__ = [
 # Fermat reference surface
 
 
-def _fermat_entries(d: int) -> dict[tuple[int, int], ReprClass]:
+def _fermat_table(d: int) -> HodgeTable:
     """Primitive H^2 of the degree-d Fermat surface as a character table.
 
     With the group scaling the last coordinate, the holomorphic part has
     h^{2,0}(lam^k) = C(k-1, 2); conjugation gives h^{0,2}, and each nontrivial
-    character column sums to d^2 - 3d + 3.
+    character column sums to d^2 - 3d + 3.  Degrees 1 and 2 are accepted
+    here for the degenerate arrangements; the public wrapper rejects them.
     """
     total = d * d - 3 * d + 3
     h20 = [0] * d
@@ -75,18 +75,19 @@ def _fermat_entries(d: int) -> dict[tuple[int, int], ReprClass]:
         h02[k] = math.comb(d - k - 1, 2)
         h11[k] = total - h20[k] - h02[k]
         assert h11[k] >= 0
-    return {
+    entries = {
         (2, 0): ReprClass(d, tuple(h20)),
         (1, 1): ReprClass(d, tuple(h11)),
         (0, 2): ReprClass(d, tuple(h02)),
     }
+    return HodgeTable(d, entries, label=f"H2_0(Fermat_{d})")
 
 
 def fermat_surface_table(d: int) -> HodgeTable:
     """Equivariant Hodge table of primitive H^2 of the Fermat surface."""
     if d < 3:
         raise DegreeTooSmall(f"Fermat surface table needs degree >= 3, got {d}")
-    return HodgeTable(d, _fermat_entries(d), label=f"H2_0(Fermat_{d})")
+    return _fermat_table(d)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +128,6 @@ class SurfaceH3Data:
 # local data summed over the singular points
 
 
-def _sum_tables(d: int, tables: Iterable[HodgeTable], label: str) -> HodgeTable:
-    out = HodgeTable(d, {}, label)
-    for t in tables:
-        out = out + t
-    return out.relabel(label)
-
-
 def milnor_sum_table(w: WeakCombData) -> HodgeTable:
     """Sum of the local Milnor-fiber tables over all singular points."""
     d = w.d
@@ -141,13 +135,6 @@ def milnor_sum_table(w: WeakCombData) -> HodgeTable:
     for k, count in w.m:
         out = out + local_hodge_table(OrdinarySing(k, d)).as_hodge_table().scale(count)
     return out.relabel("sum_s H2(F_s)")
-
-
-def _local_sum(local: Sequence[LocalHodgeTable | HodgeTable], d: int) -> HodgeTable:
-    tables = [t.as_hodge_table() if isinstance(t, LocalHodgeTable) else t for t in local]
-    if any(t.d != d for t in tables):
-        raise ValueError("local tables must share the arrangement degree")
-    return _sum_tables(d, tables, "sum_s H2(F_s)")
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +147,20 @@ def _require_effective(table: HodgeTable, what: str) -> HodgeTable:
     return table
 
 
-def primitive_h2_weight1(local: Sequence[LocalHodgeTable | HodgeTable], h3: SurfaceH3Data) -> HodgeTable:
+def _common_degree(loc: HodgeTable, h3: SurfaceH3Data) -> int:
+    if loc.d != h3.d:
+        raise ValueError("local tables must share the arrangement degree")
+    return h3.d
+
+
+def primitive_h2_weight1(loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
     """Weight-1 part of primitive H^2 of X.
 
     h^{p,q}(H^2_0(X), alpha) = sum_s h^{p+1,q+1}(H^2(F_s), alpha)
                                - h^{2-p,2-q}(H^3(X), conj(alpha))
-    for (p, q) in {(1,0), (0,1)}.
+    for (p, q) in {(1,0), (0,1)}, with ``loc`` the sum over s (milnor_sum_table).
     """
-    d = h3.d
-    loc = _local_sum(local, d)
+    d = _common_degree(loc, h3)
     entries = {
         (1, 0): loc.entry(2, 1) - h3.table.entry(1, 2).involution(),
         (0, 1): loc.entry(1, 2) - h3.table.entry(2, 1).involution(),
@@ -176,11 +168,7 @@ def primitive_h2_weight1(local: Sequence[LocalHodgeTable | HodgeTable], h3: Surf
     return _require_effective(HodgeTable(d, entries, "H2_0(X) weight 1"), "weight-1 part of H2_0(X)")
 
 
-def primitive_h2_weight2(
-    fermat: HodgeTable,
-    local: Sequence[LocalHodgeTable | HodgeTable],
-    h3: SurfaceH3Data,
-) -> HodgeTable:
+def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
     """Weight-2 part of primitive H^2 of X, by comparison with the smoothing.
 
     h^{p,q}(H^2_0(X), alpha) = h^{p,q}(Fermat, alpha)
@@ -188,8 +176,7 @@ def primitive_h2_weight2(
         - sum_s (h^{p,q} + h^{p,q+1} + h^{p+1,q})(H^2(F_s), alpha)
     for p + q = 2, with out-of-range bidegrees read as zero.
     """
-    d = h3.d
-    loc = _local_sum(local, d)
+    d = _common_degree(loc, h3)
     entries = {}
     for p, q in ((2, 0), (1, 1), (0, 2)):
         entries[(p, q)] = (
@@ -278,12 +265,11 @@ def spectrum(w: WeakCombData) -> Spectrum:
     """
     d = w.d
     inv = comb_invariants(w)
-    fermat = _fermat_entries(d)
+    fermat = _fermat_table(d)
     loc = milnor_sum_table(w)
-
-    def fm(p: int, q: int, j: int) -> int:
-        r = fermat.get((p, q))
-        return r[j] if r is not None else 0
+    m20 = fermat.entry(2, 0) - loc.entry(2, 0)
+    m11 = fermat.entry(1, 1) - loc.entry(1, 1) - loc.entry(1, 2)
+    m02 = fermat.entry(0, 2) - loc.entry(0, 2) - loc.entry(1, 2)
 
     acc: dict[Fraction, int] = {}
 
@@ -298,9 +284,9 @@ def spectrum(w: WeakCombData) -> Spectrum:
     for j in range(1, d):
         frac = Fraction(d - j, d)
         i = d - j  # index of gamma = conj(beta)
-        put(frac, fm(2, 0, j) - loc.entry(2, 0)[j])
-        put(1 + frac, fm(1, 1, i) - loc.entry(1, 1)[i] - loc.entry(1, 2)[i])
-        put(2 + frac, fm(0, 2, j) - loc.entry(0, 2)[j] - loc.entry(1, 2)[j])
+        put(frac, m20[j])
+        put(1 + frac, m11[i])
+        put(2 + frac, m02[j])
 
     entries = tuple(sorted(acc.items()))
     total = sum(m for _, m in entries)
@@ -333,16 +319,16 @@ class AssemblyReport:
     h2x: HodgeTable | None
     h1f: HodgeTable | None
     h2f: HodgeTable | None
-    px: EquivPoly | None
-    pv: EquivPoly
-    pcf: EquivPoly | None
+    px: HodgeTable | None
+    pv: HodgeTable
+    pcf: HodgeTable | None
     checks: tuple[CheckResult, ...]
 
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-def _p2(d: int) -> EquivPoly:
+def _p2(d: int) -> HodgeTable:
     """1 + uv + (uv)^2, the ambient part of P(X) for a surface in P^3."""
     triv = ReprClass.trivial(d)
     return HodgeTable(d, {(0, 0): triv, (1, 1): triv, (2, 2): triv}, label="P_2")
@@ -361,9 +347,8 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
     if h3 is not None:
         if h3.d != d:
             raise ValueError("H3 data modulus differs from arrangement degree")
-        local = [milnor_sum_table(w)]
-        fermat = HodgeTable(d, _fermat_entries(d), label=f"H2_0(Fermat_{d})")
-        h2x = primitive_h2_weight1(local, h3) + primitive_h2_weight2(fermat, local, h3)
+        loc = milnor_sum_table(w)
+        h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
         h2x = h2x.relabel("H2_0(X)")
         h1f, h2f = fiber_tables(h2x, h3.table)
         px = (_p2(d) + h2x - h3.table).relabel("P(X)")
@@ -387,11 +372,6 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
     return replace(report, checks=tuple(check_identities(report)))
 
 
-def _twist_dual(p: EquivPoly, n: int = 2) -> EquivPoly:
-    """u^n v^n * iota(P)(1/u, 1/v): entry (a, b) -> (n-a, n-b), involved."""
-    return p.poincare_dual(n)
-
-
 def check_identities(report: AssemblyReport) -> list[CheckResult]:
     """Weight purity, localization, conjugation and compact-support checks."""
     checks: list[CheckResult] = []
@@ -411,8 +391,8 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         p_tstar = HodgeTable(d, {})
         for k, count in report.weak.m:
             p_tstar = p_tstar + link_epoly(OrdinarySing(k, d)).scale(count)
-        lhs = report.px - _twist_dual(report.px)
-        rhs = p_sigma - _twist_dual(p_sigma) - p_tstar
+        lhs = report.px - report.px.poincare_dual(2)
+        rhs = p_sigma - p_sigma.poincare_dual(2) - p_tstar
         checks.append(
             CheckResult(
                 "link_localization_identity",

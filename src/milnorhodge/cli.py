@@ -19,26 +19,38 @@ from .arrangement import (
     LineArrangement,
     charpoly_value,
     comb_invariants,
+    epoly_V,
     intersection_data,
     parse_arrangement,
     random_rational_arrangement,
     weak_comb_data,
 )
-from .errors import MilnorHodgeError
+from .errors import MilnorHodgeError, ParseError
 from .localhodge import OrdinarySing, local_hodge_table, local_spectrum
 from .repring import HodgeTable
 
 __all__ = ["main"]
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_arrangement(path: str) -> LineArrangement:
-    return parse_arrangement(Path(path).read_text(encoding="utf-8"))
+    return parse_arrangement(_read_text(path))
 
 
 def _load_h3(path: str) -> assembly.SurfaceH3Data:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = _read_text(path)
     try:
-        return assembly.SurfaceH3Data(HodgeTable.from_json_dict(data, label="H3(X)"))
+        return assembly.SurfaceH3Data(HodgeTable.from_json_dict(json.loads(text), label="H3(X)"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path} is not an H3 table: missing or malformed {exc}") from exc
     except ValueError as exc:
         raise MilnorHodgeError(str(exc)) from exc
 
@@ -89,7 +101,7 @@ def _cmd_combinatorics(args) -> int:
             "chiF": inv.chiF,
             "charpoly": list(inv.charpoly),
         },
-        "epoly_V": assembly.epoly_V(w).to_json_dict(),
+        "epoly_V": epoly_V(w).to_json_dict(),
     }
     text = (
         f"arrangement d={w.d}: {w.counts} multiple points\n"
@@ -317,7 +329,7 @@ def _cmd_check(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
-    common.add_argument("--threads", type=int, default=None, help="worker threads for counting")
+    common.add_argument("--threads", type=int, default=1, help="worker threads for counting")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized check suites")
 
     parser = argparse.ArgumentParser(
@@ -377,11 +389,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MilnorHodgeError as exc:
-        sys.stdout.write(json.dumps({"error": exc.code, "message": str(exc)}, indent=2) + "\n")
-        return 1
+        code, message = exc.code, str(exc)
     except FileNotFoundError as exc:
-        sys.stdout.write(json.dumps({"error": "file_not_found", "message": str(exc)}, indent=2) + "\n")
-        return 1
+        code, message = "file_not_found", str(exc)
+    except OSError as exc:
+        code, message = "unreadable_file", str(exc)
+    sys.stdout.write(json.dumps({"error": code, "message": message}, indent=2) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

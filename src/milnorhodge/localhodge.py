@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import InvalidSing
 from .repring import HodgeTable, ReprClass
@@ -100,9 +99,6 @@ class LocalHodgeTable:
     sing: OrdinarySing
     counts: tuple[tuple[tuple[int, int, int], int], ...]  # ((p, q, char), mult)
 
-    def multiplicity(self, p: int, q: int, char: int) -> int:
-        return dict(self.counts).get((p, q, char), 0)
-
     def total(self) -> int:
         return sum(n for _, n in self.counts)
 
@@ -113,9 +109,6 @@ class LocalHodgeTable:
             by_pq.setdefault((p, q), [0] * d)[char] += n
         entries = {pq: ReprClass(d, tuple(m)) for pq, m in by_pq.items()}
         return HodgeTable(d, entries, label=f"H2(F_s) k={self.sing.k} d={d}")
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int], int]]:
-        return iter(self.counts)
 
 
 def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:

@@ -25,18 +25,17 @@ weight-one cohomology genuinely destroys polynomial counting.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .arrangement import LineArrangement, WeakCombData, weak_comb_data
+from .arrangement import LineArrangement, WeakCombData, _pair_incidences, weak_comb_data
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
-from .repring import EquivPoly, HodgeTable, decode_characters
+from .repring import HodgeTable, decode_characters
 
 __all__ = [
     "PrimeField",
@@ -50,13 +49,10 @@ __all__ = [
     "count_tables",
     "fit_polynomials",
     "hodge_from_counts",
-    "complement_crosscheck",
     "DEFAULT_PRIME_BOUND",
 ]
 
 DEFAULT_PRIME_BOUND = 100_000
-_THREADS_ENV = "MILNORHODGE_THREADS"
-_PRIME_BOUND_ENV = "MILNORHODGE_PRIME_BOUND"
 
 
 # ---------------------------------------------------------------------------
@@ -134,31 +130,18 @@ def _primes_at_least(start: int):
 # reduction of the arrangement modulo q
 
 
-def _normalize_mod(triple: Sequence[int], q: int) -> tuple[int, int, int] | None:
+def _normalize_mod(triple: Sequence[int], q: int) -> tuple[int, int, int]:
+    """Point of P^2(F_q) with first nonzero coordinate 1; a zero triple is a bad prime.
+
+    The only zero triples reaching here are cross products of two lines that
+    coincide modulo q.
+    """
     t = tuple(v % q for v in triple)
-    for i, v in enumerate(t):
+    for v in t:
         if v:
             inv = pow(v, q - 2, q)
             return tuple((w * inv) % q for w in t)  # type: ignore[return-value]
-    return None
-
-
-def _census_mod_q(lines: list[tuple[int, int, int]], q: int) -> dict[int, int]:
-    """Multiplicity census of the pairwise intersections over F_q."""
-    pts: dict[tuple[int, int, int], set[int]] = {}
-    for i in range(len(lines)):
-        a1, b1, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, b2, c2 = lines[j]
-            cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
-            pt = _normalize_mod(cross, q)
-            if pt is None:
-                raise BadPrime(f"lines {i} and {j} coincide modulo {q}")
-            pts.setdefault(pt, set()).update((i, j))
-    census: dict[int, int] = {}
-    for idx in pts.values():
-        census[len(idx)] = census.get(len(idx), 0) + 1
-    return census
+    raise BadPrime(f"two lines coincide modulo {q}")
 
 
 def _lines_mod_q(arr: LineArrangement, q: int, field: PrimeField) -> list[tuple[int, int, int]]:
@@ -186,8 +169,11 @@ def _lines_mod_q(arr: LineArrangement, q: int, field: PrimeField) -> list[tuple[
     return out
 
 
-def _check_reduction(arr: LineArrangement, q: int, field: PrimeField, w: WeakCombData) -> None:
-    census = _census_mod_q(_lines_mod_q(arr, q, field), q)
+def _check_reduction(lines: list[tuple[int, int, int]], q: int, w: WeakCombData) -> None:
+    """Raise BadPrime unless the census of the reduced lines is that over Z."""
+    census: dict[int, int] = {}
+    for idx in _pair_incidences(lines, partial(_normalize_mod, q=q)).values():
+        census[len(idx)] = census.get(len(idx), 0) + 1
     if census != w.counts:
         raise BadPrime(f"intersection multiplicities degrade modulo {q}")
 
@@ -196,11 +182,9 @@ def good_primes(
     arr: LineArrangement,
     count: int,
     min_q: int = 2,
-    bound: int | None = None,
+    bound: int = DEFAULT_PRIME_BOUND,
 ) -> list[PrimeField]:
     """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction."""
-    if bound is None:
-        bound = int(os.environ.get(_PRIME_BOUND_ENV, DEFAULT_PRIME_BOUND))
     d = arr.d
     w = weak_comb_data(arr)
     found: list[PrimeField] = []
@@ -213,7 +197,7 @@ def good_primes(
             continue
         field = PrimeField.make(q)
         try:
-            _check_reduction(arr, q, field, w)
+            _check_reduction(_lines_mod_q(arr, q, field), q, w)
         except BadPrime:
             continue
         found.append(field)
@@ -243,15 +227,19 @@ class CountTable:
         assert sum(self.class_counts) + self.zero_count == self.q**3
 
 
-def _q_values(arr: LineArrangement, q: int, field: PrimeField, x, y, z) -> np.ndarray:
-    """Q(x, y, z) mod q on numpy arrays (broadcasting allowed)."""
+def _q_values(arr: LineArrangement, lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
+    """Q(x, y, z) mod q on numpy arrays (broadcasting allowed).
+
+    ``lines`` are the forms reduced modulo q (``_lines_mod_q``); Ceva's cubic
+    uses its closed form instead of its nine factors.
+    """
     if arr.builtin == "ceva":
         x3 = (x * x % q) * x % q
         y3 = (y * y % q) * y % q
         z3 = (z * z % q) * z % q
         return ((x3 - y3) % q) * ((x3 - z3) % q) % q * ((y3 - z3) % q) % q
     vals = np.ones_like(x * y * z, dtype=np.int64)
-    for a, b, c in _lines_mod_q(arr, q, field):
+    for a, b, c in lines:
         vals = vals * ((a * x + b * y + c * z) % q) % q
     return vals
 
@@ -273,12 +261,13 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     if (q - 1) % d != 0:
         raise BadPrime(f"{q} is not 1 modulo {d}")
     field = PrimeField.make(q)
-    _check_reduction(arr, q, field, weak_comb_data(arr))
+    lines = _lines_mod_q(arr, q, field)
+    _check_reduction(lines, q, weak_comb_data(arr))
 
     ys, zs = np.meshgrid(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64), indexing="ij")
-    chart_x = _q_values(arr, q, field, np.int64(1), ys.ravel(), zs.ravel())
-    chart_y = _q_values(arr, q, field, np.int64(0), np.int64(1), np.arange(q, dtype=np.int64))
-    chart_z = _q_values(arr, q, field, np.int64(0), np.int64(0), np.arange(1, 2, dtype=np.int64))
+    chart_x = _q_values(arr, lines, q, np.int64(1), ys.ravel(), zs.ravel())
+    chart_y = _q_values(arr, lines, q, np.int64(0), np.int64(1), np.arange(q, dtype=np.int64))
+    chart_z = _q_values(arr, lines, q, np.int64(0), np.int64(0), np.arange(1, 2, dtype=np.int64))
     vals = np.concatenate([chart_x, np.atleast_1d(chart_y), np.atleast_1d(chart_z)])
 
     class_counts, zero_proj = _aggregate(vals, field, d)
@@ -299,7 +288,7 @@ def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
     field = PrimeField.make(q)
     rng = np.arange(q, dtype=np.int64)
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-    vals = _q_values(arr, q, field, xs.ravel(), ys.ravel(), zs.ravel())
+    vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
     class_counts, zero_count = _aggregate(vals, field, d)
     return CountTable(
         q=q,
@@ -333,18 +322,11 @@ def complement_count(table: CountTable) -> int:
     return table.q**3 - table.zero_count
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get(_THREADS_ENV, "1"))
-    return max(1, threads)
-
-
-def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int | None = None) -> list[CountTable]:
+def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order."""
-    n = _resolve_threads(threads)
-    if n == 1 or len(primes) <= 1:
+    if threads <= 1 or len(primes) <= 1:
         return [count_classes(arr, q) for q in primes]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda q: count_classes(arr, q), primes))
 
 
@@ -409,6 +391,8 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
     witnesses: list[tuple[int, int]] = []
     for j in sorted(sequences):
         pts = list(sequences[j])
+        if len({q for q, _ in pts}) != len(pts):
+            raise BadPrime(f"twist {j}: a prime is repeated in {[q for q, _ in pts]}")
         if len(pts) < degree + 2:
             raise NotEnoughPrimes(
                 f"twist {j}: need at least {degree + 2} primes, got {len(pts)}"
@@ -433,7 +417,7 @@ def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     return fit_polynomials(seqs, degree=3)
 
 
-def hodge_from_counts(fit: FittedPoly, d: int) -> EquivPoly:
+def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
     """Diagonal equivariant Hodge-Deligne polynomial from fitted counts.
 
     The coefficient of t^i, as a function of the twist, is a virtual
@@ -461,18 +445,3 @@ def hodge_from_counts(fit: FittedPoly, d: int) -> EquivPoly:
         except DecodeError as exc:
             raise DecodeError(f"coefficient of t^{i}: {exc}") from exc
     return HodgeTable(d, entries, label="E_c from point counts")
-
-
-def complement_crosscheck(arr: LineArrangement, primes: Sequence[int], threads: int | None = None) -> list[dict]:
-    """Compare |complement(F_q)| with the characteristic polynomial at q."""
-    from .arrangement import charpoly_value, comb_invariants
-
-    inv = comb_invariants(weak_comb_data(arr))
-    out = []
-    for table in count_tables(arr, primes, threads):
-        counted = complement_count(table)
-        expected = charpoly_value(inv, table.q)
-        out.append(
-            {"q": table.q, "count": counted, "charpoly": expected, "match": counted == expected}
-        )
-    return out

@@ -8,8 +8,8 @@ supported map from a bidegree ``(p, q)`` to a :class:`ReprClass`.  The same
 container serves two purposes, told apart only by its label:
 
 * the Hodge pieces of a single mixed Hodge structure, and
-* an Euler-alternating Hodge-Deligne polynomial (alias :data:`EquivPoly`),
-  whose ``(p, q)`` coefficient may be a genuinely virtual class.
+* an Euler-alternating Hodge-Deligne polynomial, whose ``(p, q)``
+  coefficient may be a genuinely virtual class.
 
 Character decoding (a vector of traces -> a multiplicity vector) is done with
 a floating-point inverse DFT and then certified exactly: for every ``s`` the
@@ -21,7 +21,6 @@ small integers; the divisibility check restores exactness.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence, Union
@@ -29,17 +28,10 @@ from typing import Iterator, Mapping, Sequence, Union
 from .errors import DecodeError
 
 __all__ = [
-    "CharacterClass",
     "ReprClass",
     "HodgeTable",
-    "EquivPoly",
     "CyclotomicInt",
     "cyclotomic_polynomial",
-    "involution",
-    "dual_table",
-    "tate_twist",
-    "poincare_dual_epoly",
-    "specialize_weight",
     "character_traces",
     "decode_characters",
 ]
@@ -92,23 +84,6 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class CharacterClass:
-    """The character C_{lam^k} of mu_d, with lam = exp(2*pi*i/d)."""
-
-    d: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("modulus must be >= 1")
-        if not 0 <= self.k < self.d:
-            raise ValueError("character exponent out of range")
-
-    def conjugate(self) -> "CharacterClass":
-        return CharacterClass(self.d, (-self.k) % self.d)
-
-
-@dataclass(frozen=True)
 class ReprClass:
     """Virtual mu_d-representation: mult[k] = multiplicity of C_{lam^k}."""
 
@@ -137,10 +112,6 @@ class ReprClass:
     @classmethod
     def trivial(cls, d: int, n: int = 1) -> "ReprClass":
         return cls.character(d, 0, n)
-
-    @classmethod
-    def regular(cls, d: int) -> "ReprClass":
-        return cls(d, (1,) * d)
 
     # -- ring-module structure
 
@@ -183,10 +154,6 @@ class ReprClass:
         """Duality C_alpha -> C_{conj(alpha)}: mult[k] -> mult[(d-k) mod d]."""
         d = self.d
         return ReprClass(d, tuple(self.mult[(d - k) % d] for k in range(d)))
-
-
-def involution(r: ReprClass) -> ReprClass:
-    return r.involution()
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +299,6 @@ class HodgeTable:
         return f"<HodgeTable d={self.d}{tag} {{{body}}}>"
 
 
-EquivPoly = HodgeTable
-
-
-def dual_table(t: HodgeTable) -> HodgeTable:
-    return t.dual()
-
-
-def tate_twist(t: HodgeTable, m: int) -> HodgeTable:
-    return t.tate_twist(m)
-
-
-def poincare_dual_epoly(p: EquivPoly, n: int) -> EquivPoly:
-    return p.poincare_dual(n)
-
-
-def specialize_weight(p: EquivPoly) -> dict[int, ReprClass]:
-    return p.specialize_weight()
-
-
 # ---------------------------------------------------------------------------
 # exact cyclotomic integers and character decoding
 
@@ -373,12 +321,6 @@ class CyclotomicInt:
     @classmethod
     def from_int(cls, d: int, value: int) -> "CyclotomicInt":
         return cls(d, (value,) + (0,) * (d - 1))
-
-    @classmethod
-    def root_power(cls, d: int, t: int, n: int = 1) -> "CyclotomicInt":
-        coeffs = [0] * d
-        coeffs[t % d] += n
-        return cls(d, tuple(coeffs))
 
     def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
         if self.d != other.d:

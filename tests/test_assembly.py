@@ -93,8 +93,12 @@ def _ceva_locals():
     return [local_hodge_table(OrdinarySing(3, 9)) for _ in range(12)]
 
 
+def _ceva_local_sum():
+    return local_hodge_table(OrdinarySing(3, 9)).as_hodge_table().scale(12)
+
+
 def test_weight1_ceva():
-    w1 = primitive_h2_weight1(_ceva_locals(), ceva_h3())
+    w1 = primitive_h2_weight1(_ceva_local_sum(), ceva_h3())
     # twelve local (2,1) classes at lam^6 minus the conjugated H3 piece
     assert w1 == HodgeTable(
         9, {(1, 0): ReprClass.character(9, 6, 10), (0, 1): ReprClass.character(9, 3, 10)}
@@ -102,23 +106,23 @@ def test_weight1_ceva():
 
 
 def test_weight1_zero_inputs_give_zero_table():
-    w1 = primitive_h2_weight1([], SurfaceH3Data.zero(9))
+    w1 = primitive_h2_weight1(HodgeTable(9, {}), SurfaceH3Data.zero(9))
     assert w1.support() == []
 
 
 def test_weight1_single_node_no_weight3():
     # a (2, 3) point has no weight-3 classes, so nothing survives
-    w1 = primitive_h2_weight1([local_hodge_table(OrdinarySing(2, 3))], SurfaceH3Data.zero(3))
+    w1 = primitive_h2_weight1(local_hodge_table(OrdinarySing(2, 3)).as_hodge_table(), SurfaceH3Data.zero(3))
     assert w1.support() == []
 
 
 def test_weight1_negative_signals_bad_h3():
     with pytest.raises(NegativeMultiplicity):
-        primitive_h2_weight1(_ceva_locals(), ceva_h3(13))
+        primitive_h2_weight1(_ceva_local_sum(), ceva_h3(13))
 
 
 def test_weight2_ceva_value_at_lam3():
-    w2 = primitive_h2_weight2(fermat_surface_table(9), _ceva_locals(), ceva_h3())
+    w2 = primitive_h2_weight2(fermat_surface_table(9), _ceva_local_sum(), ceva_h3())
     # 46 + 2 + 0 - 12*(3 + 1 + 0) = 0
     assert w2.entry(1, 1)[3] == 0
     assert w2.entry(2, 0)[3] == 1
@@ -128,8 +132,16 @@ def test_weight2_ceva_value_at_lam3():
 
 def test_weight2_smooth_case_returns_fermat():
     fermat = fermat_surface_table(5)
-    w2 = primitive_h2_weight2(fermat, [], SurfaceH3Data.zero(5))
+    w2 = primitive_h2_weight2(fermat, HodgeTable(5, {}), SurfaceH3Data.zero(5))
     assert w2 == fermat
+
+
+def test_weight_assemblies_reject_mixed_degrees():
+    loc = local_hodge_table(OrdinarySing(2, 3)).as_hodge_table()
+    with pytest.raises(ValueError):
+        primitive_h2_weight1(loc, SurfaceH3Data.zero(5))
+    with pytest.raises(ValueError):
+        primitive_h2_weight2(fermat_surface_table(5), loc, SurfaceH3Data.zero(5))
 
 
 # ---------------------------------------------------------------------------

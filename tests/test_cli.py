@@ -174,6 +174,48 @@ def test_missing_file_exits_1(capsys):
     assert json.loads(out)["error"] == "file_not_found"
 
 
+def test_non_utf8_arrangement_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n1 0 0\n")
+    code, out = run_cli(capsys, "spectrum", "--arrangement", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_directory_as_arrangement_exits_1(capsys, tmp_path):
+    code, out = run_cli(capsys, "spectrum", "--arrangement", str(tmp_path))
+    assert code == 1
+    assert json.loads(out)["error"] == "unreadable_file"
+
+
+def test_malformed_h3_json_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text('{"d": 9, "entries": [')
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_h3_json_without_entries_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text('{"d": 9}')
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_repeated_prime_is_bad_prime(capsys):
+    code, out = run_cli(
+        capsys,
+        "count",
+        "--arrangement", str(DATA / "boolean.txt"),
+        "--target", "fiber",
+        "--primes", "7,7,13,19",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "bad_prime"
+
+
 def test_bad_prime_error(capsys):
     code, out = run_cli(
         capsys,
@@ -209,17 +251,18 @@ def test_repeated_runs_identical(capsys):
     assert first == second
 
 
-def test_threads_env_var_fallback(capsys, monkeypatch):
-    argv = [
-        "count",
-        "--arrangement", str(DATA / "boolean.txt"),
-        "--target", "fiber",
-        "--primes", "7,13,19,31",
-    ]
-    _, serial = run_cli(capsys, *argv)
-    monkeypatch.setenv("MILNORHODGE_THREADS", "4")
-    _, enved = run_cli(capsys, *argv)
-    assert serial == enved
+def test_environment_knobs_are_ignored(capsys, monkeypatch):
+    count = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", "7,13,19,31"]
+    check = ["check", "--arrangement", str(DATA / "boolean.txt")]  # picks primes with good_primes
+    for argv in (count, check):
+        monkeypatch.delenv("MILNORHODGE_THREADS", raising=False)
+        monkeypatch.delenv("MILNORHODGE_PRIME_BOUND", raising=False)
+        _, plain = run_cli(capsys, *argv)
+        monkeypatch.setenv("MILNORHODGE_THREADS", "x")
+        monkeypatch.setenv("MILNORHODGE_PRIME_BOUND", "x")
+        code, enved = run_cli(capsys, *argv)
+        assert code == 0
+        assert enved == plain
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
+    LineArrangement,
+    ProjLine,
     boolean_arrangement,
     ceva_arrangement,
     comb_invariants,
@@ -18,7 +22,6 @@ from milnorhodge.pointcount import (
     PrimeField,
     brute_force_count,
     complement_count,
-    complement_crosscheck,
     complement_fit,
     count_classes,
     count_tables,
@@ -118,14 +121,14 @@ def test_twisted_counts_equal_explicit_fiber_counts():
     # equal the number of solutions of Q(y) = g^j by direct enumeration
     import numpy as np
 
-    from milnorhodge.pointcount import _q_values
+    from milnorhodge.pointcount import _lines_mod_q, _q_values
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
         d = arr.d
         field = PrimeField.make(q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, q, field, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
         tw = twisted_counts(count_classes(arr, q), d)
         for j in range(d):
             s = pow(field.g, j, q)
@@ -136,13 +139,13 @@ def test_untwisted_count_is_fiber_cardinality():
     # independent oracle: count Q(x) = 1 by direct enumeration
     import numpy as np
 
-    from milnorhodge.pointcount import _q_values
+    from milnorhodge.pointcount import _lines_mod_q, _q_values
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
         field = PrimeField.make(q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, q, field, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
         direct = int((vals == 1).sum())
         table = count_classes(arr, q)
         assert twisted_counts(table, arr.d)[0] == direct
@@ -171,8 +174,9 @@ def test_complement_crosscheck_fixtures(generic3):
         (generic3, [7, 13]),
         (ceva_arrangement(), [19]),
     ):
-        rows = complement_crosscheck(arr, primes)
-        assert all(row["match"] for row in rows)
+        inv = comb_invariants(weak_comb_data(arr))
+        for table in count_tables(arr, primes):
+            assert complement_count(table) == charpoly_value(inv, table.q)
 
 
 def test_complement_crosscheck_random_arrangements():
@@ -180,8 +184,33 @@ def test_complement_crosscheck_random_arrangements():
     for _ in range(10):
         arr = random_rational_arrangement(rng, rng.randint(3, 5))
         primes = [f.p for f in good_primes(arr, 3, min_q=arr.d + 2)]
-        rows = complement_crosscheck(arr, primes)
-        assert all(row["match"] for row in rows), (arr, rows)
+        inv = comb_invariants(weak_comb_data(arr))
+        for table in count_tables(arr, primes):
+            assert complement_count(table) == charpoly_value(inv, table.q), (arr, table.q)
+
+
+_coeff = st.integers(-4, 4)
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: ProjLine.from_coeffs(*t))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.lists(_lines, min_size=3, max_size=5, unique=True))
+def test_stratified_equals_brute_force_on_random_arrangements(lines):
+    # the O(q^2) census against the O(q^3) oracle at every good prime q <= 31
+    arr = LineArrangement(tuple(lines))
+    checked = 0
+    for q in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if (q - 1) % arr.d:
+            continue
+        try:
+            fast = count_classes(arr, q)
+        except BadPrime:
+            continue
+        slow = brute_force_count(arr, q)
+        assert fast.class_counts == slow.class_counts
+        assert fast.zero_count == slow.zero_count
+        checked += 1
+    assume(checked)  # no good prime below 32: draw another arrangement
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +235,11 @@ def test_fit_flags_non_polynomial_with_witness():
     assert not fit.is_polynomial()
     assert fit.witnesses == ((0, 31),)
     assert fit.per_twist == (None,)
+
+
+def test_fit_rejects_repeated_prime():
+    with pytest.raises(BadPrime):
+        fit_polynomials({0: [(7, 1), (7, 1), (13, 2), (19, 4)]}, degree=2)
 
 
 def test_fit_needs_a_witness_prime():

@@ -2,21 +2,17 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorhodge.errors import DecodeError
 from milnorhodge.repring import (
-    CharacterClass,
     CyclotomicInt,
     HodgeTable,
     ReprClass,
     character_traces,
     cyclotomic_polynomial,
     decode_characters,
-    dual_table,
-    involution,
-    poincare_dual_epoly,
-    specialize_weight,
-    tate_twist,
 )
 
 
@@ -37,16 +33,16 @@ def random_table(rng, d, n_entries=4, span=3):
 
 
 def test_involution_moves_character_to_conjugate():
-    assert involution(ReprClass.character(9, 1)) == ReprClass.character(9, 8)
+    assert ReprClass.character(9, 1).involution() == ReprClass.character(9, 8)
 
 
 def test_involution_fixes_trivial_class():
-    assert involution(ReprClass.trivial(5)) == ReprClass.trivial(5)
+    assert ReprClass.trivial(5).involution() == ReprClass.trivial(5)
 
 
 def test_involution_fixes_symmetric_classes():
     r = ReprClass(6, (2, 1, 3, 7, 3, 1))  # mult[k] == mult[d-k]
-    assert involution(r) == r
+    assert r.involution() == r
 
 
 def test_involution_is_additive_involution():
@@ -54,14 +50,17 @@ def test_involution_is_additive_involution():
     for _ in range(50):
         d = rng.randint(1, 12)
         r, s = random_class(rng, d), random_class(rng, d)
-        assert involution(involution(r)) == r
-        assert involution(r + s) == involution(r) + involution(s)
+        assert r.involution().involution() == r
+        assert (r + s).involution() == r.involution() + s.involution()
 
 
 def test_character_class_validation():
+    assert ReprClass.character(5, 2).involution() == ReprClass.character(5, 3)
+    assert ReprClass.character(5, 7) == ReprClass.character(5, 2)  # exponent read mod d
     with pytest.raises(ValueError):
-        CharacterClass(5, 5)
-    assert CharacterClass(5, 2).conjugate() == CharacterClass(5, 3)
+        ReprClass(5, (0, 1, 0))
+    with pytest.raises(ValueError):
+        ReprClass(0, ())
 
 
 # ---------------------------------------------------------------------------
@@ -71,39 +70,39 @@ def test_character_class_validation():
 def test_dual_table_example():
     d = 7
     t = HodgeTable(d, {(1, 0): ReprClass.character(d, 1)})
-    assert dual_table(t) == HodgeTable(d, {(-1, 0): ReprClass.character(d, d - 1)})
+    assert t.dual() == HodgeTable(d, {(-1, 0): ReprClass.character(d, d - 1)})
 
 
 def test_dual_table_empty():
     t = HodgeTable(4, {})
-    assert dual_table(t) == t
+    assert t.dual() == t
 
 
 def test_dual_table_is_involutive():
     rng = random.Random(11)
     for _ in range(20):
         t = random_table(rng, rng.randint(1, 9))
-        assert dual_table(dual_table(t)) == t
+        assert t.dual().dual() == t
 
 
 def test_tate_twist_example():
     r = ReprClass.character(5, 2, 3)
     t = HodgeTable(5, {(1, 1): r})
-    assert tate_twist(t, 1) == HodgeTable(5, {(0, 0): r})
-    assert tate_twist(t, 0) == t
-    assert tate_twist(tate_twist(t, -4), 4) == t
+    assert t.tate_twist(1) == HodgeTable(5, {(0, 0): r})
+    assert t.tate_twist(0) == t
+    assert t.tate_twist(-4).tate_twist(4) == t
 
 
 def test_poincare_dual_two_torus_self_dual():
     d = 1
     triv = ReprClass.trivial(d)
     torus = HodgeTable(d, {(2, 2): triv, (1, 1): -2 * triv, (0, 0): triv})
-    assert poincare_dual_epoly(torus, 2) == torus
+    assert torus.poincare_dual(2) == torus
 
 
 def test_poincare_dual_point_and_top_class():
     t = HodgeTable(3, {(1, 1): ReprClass.trivial(3)})
-    assert poincare_dual_epoly(t, 1) == HodgeTable(3, {(0, 0): ReprClass.trivial(3)})
+    assert t.poincare_dual(1) == HodgeTable(3, {(0, 0): ReprClass.trivial(3)})
 
 
 def test_poincare_dual_composed_identity():
@@ -114,9 +113,9 @@ def test_poincare_dual_composed_identity():
         d = rng.randint(1, 9)
         t = random_table(rng, d)
         n = rng.randint(0, 3)
-        twice = poincare_dual_epoly(poincare_dual_epoly(t, n), n)
+        twice = t.poincare_dual(n).poincare_dual(n)
         expected = HodgeTable(
-            d, {k: involution(involution(r)) for k, r in t.entries.items()}
+            d, {k: r.involution().involution() for k, r in t.entries.items()}
         )
         assert twice == expected == t
 
@@ -125,15 +124,15 @@ def test_specialize_weight_collects_antidiagonals():
     d = 4
     r1, r2, r3 = (ReprClass.character(d, k) for k in (0, 1, 2))
     t = HodgeTable(d, {(2, 0): r1, (1, 1): r2, (0, 2): r3})
-    assert specialize_weight(t) == {2: r1 + r2 + r3}
+    assert t.specialize_weight() == {2: r1 + r2 + r3}
 
 
 def test_specialize_weight_empty_and_dimension():
-    assert specialize_weight(HodgeTable(3, {})) == {}
+    assert HodgeTable(3, {}).specialize_weight() == {}
     rng = random.Random(17)
     for _ in range(10):
         t = random_table(rng, rng.randint(1, 8))
-        by_weight = specialize_weight(t)
+        by_weight = t.specialize_weight()
         assert sum(r.dim() for r in by_weight.values()) == t.total_dim()
 
 
@@ -142,9 +141,9 @@ def test_specialize_weight_additive():
     for _ in range(10):
         d = rng.randint(1, 8)
         s, t = random_table(rng, d), random_table(rng, d)
-        lhs = specialize_weight(s + t)
+        lhs = (s + t).specialize_weight()
         rhs = {}
-        for w, r in list(specialize_weight(s).items()) + list(specialize_weight(t).items()):
+        for w, r in list(s.specialize_weight().items()) + list(t.specialize_weight().items()):
             rhs[w] = rhs.get(w, ReprClass.zero(d)) + r
         assert lhs == {w: r for w, r in rhs.items() if not r.is_zero()}
 
@@ -199,6 +198,18 @@ def test_decode_encode_roundtrip():
         d = rng.randint(2, 12)
         r = random_class(rng, d, bound=50)
         assert decode_characters(character_traces(r)) == r
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda d: st.lists(st.integers(-50, 50), min_size=d, max_size=d).map(
+            lambda mult: ReprClass(d, tuple(mult))
+        )
+    )
+)
+def test_decode_inverts_character_traces(r):
+    assert decode_characters(character_traces(r)) == r
 
 
 def test_decode_integer_traces_of_galois_stable_class():
