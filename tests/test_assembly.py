@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ceva_h3
 from milnorhodge.arrangement import (
@@ -303,6 +305,30 @@ def test_spectrum_matches_budur_saito_closed_form():
         w = weak_comb_data(arr)
         fractional = {a: m for a, m in spectrum(w).entries if a.denominator != 1}
         assert fractional == _budur_saito_fractional(w), w
+
+
+@st.composite
+def _weak_data(draw) -> WeakCombData:
+    # a few multiplicities k >= 3 within the C(d, 2) line pairs, the rest double
+    # points; the census need not be realizable by actual lines
+    d = draw(st.integers(3, 200))
+    pairs = math.comb(d, 2)
+    census = {}
+    for k in draw(st.lists(st.integers(3, d), max_size=3, unique=True)):
+        census[k] = draw(st.integers(0, pairs // math.comb(k, 2)))
+        pairs -= census[k] * math.comb(k, 2)
+    census[2] = pairs
+    return WeakCombData.make(d, census)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_weak_data())
+@example(WeakCombData.make(200, {199: 1, 2: 199}))  # the near-pencil with d = 200
+def test_spectrum_sum_rule_and_symmetry_on_random_weak_data(w):
+    spec = spectrum(w)  # sum rule asserted internally
+    fractional = {a: m for a, m in spec.entries if a.denominator != 1}
+    assert fractional == _budur_saito_fractional(w)
+    assert milnor_sum_table(w).is_conjugation_symmetric()
 
 
 def _spectrum_via_chain(arr, h3):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -66,10 +67,16 @@ def test_k2_d3_table():
 
 
 def test_dimension_law_all_small_pairs():
-    for d in range(2, 13):
+    # the closed-form census and spectrum against the monomial enumeration
+    for d in range(2, 21):
         for k in range(2, d + 1):
             sing = OrdinarySing(k, d)
-            assert local_hodge_table(sing).total() == (k - 1) ** 2 * (d - 1)
+            basis = milnor_basis(sing)
+            census = Counter((m.p, m.q, m.char) for m in basis)
+            table = local_hodge_table(sing)
+            assert table.total() == (k - 1) ** 2 * (d - 1)
+            assert table.counts == tuple(sorted(census.items())), (k, d)
+            assert local_spectrum(sing) == tuple(sorted(m.ell for m in basis)), (k, d)
 
 
 def test_conjugation_symmetry():
