@@ -8,9 +8,7 @@ downstream Hodge quantity consumes only the resulting weak combinatorial data
 
 Arrangements whose natural defining forms are not rational (the Ceva
 arrangement needs cube roots of unity) are provided as named builtins that
-generate their incidence data directly; point counting evaluates their
-defining polynomial as a product of integer binomials instead of linear
-factors.
+generate their incidence data directly.
 """
 
 from __future__ import annotations

@@ -14,6 +14,16 @@ homogeneous of degree d, so along the punctured cone line over a projective
 point with Q-value v != 0 the values sweep out the class of v, each hit the
 same number of times.
 
+The pass adds classes instead of multiplying values modulo q: the class of
+Q at a point is the sum over the lines of dlog_g(line value) mod d, read
+from one cached table whose entry at 0 is a sentinel larger than any sum of
+d classes.  On the chart x = 1 a line's value at (1, y, z) is the table
+index (a + b y) + (c z), a row offset plus a column shift, looked up in the
+doubled table with no reduction.  The chart is summed in blocks of rows
+holding about 2^15 points into reused buffers, and each block goes into a
+histogram of O(d^2) sums, so memory stays bounded as q grows.  Only the
+brute-force oracle multiplies values modulo q.
+
 Counts fitted across several primes by exact Lagrange interpolation give,
 per twist, a candidate polynomial in q; when every remaining prime confirms
 it, the coefficient-of-t^i traces decode to a virtual character and the
@@ -25,17 +35,17 @@ weight-one cohomology genuinely destroys polynomial counting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .arrangement import LineArrangement, WeakCombData, _pair_incidences, weak_comb_data
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, decode_characters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PrimeField",
@@ -108,14 +118,28 @@ class PrimeField:
 
 
 @lru_cache(maxsize=64)
-def _dlog_table(p: int, g: int) -> np.ndarray:
-    """table[v] = discrete log of v base g, for v in 1..p-1."""
-    table = np.zeros(p, dtype=np.int64)
+def _class_table(q: int, g: int, d: int) -> np.ndarray:
+    """Doubled class table T2 = concat(T, T) with T[v] = dlog_g(v) mod d, T[0] = Z.
+
+    The sentinel Z = d(d-1) + 1 exceeds every sum of d classes, so a sum of
+    d entries is >= Z exactly when one of them is T[0].  Doubling lets a
+    caller index with r + s for r, s in [0, q) without reducing modulo q.
+    Entries are int32 whenever a sum of d of them fits.
+    """
+    import numpy as np
+
+    zero = d * (d - 1) + 1
+    table = np.empty(q, dtype=np.int32 if d * zero < 2**31 else np.int64)
+    table[0] = zero
     x = 1
-    for i in range(p - 1):
-        table[x] = i
-        x = (x * g) % p
-    return table
+    powers = []
+    for _ in range(q - 1):
+        powers.append(x)
+        x = (x * g) % q
+    table[powers] = np.arange(q - 1) % d
+    doubled = np.concatenate([table, table])
+    doubled.flags.writeable = False  # shared by every caller through the cache
+    return doubled
 
 
 def _primes_at_least(start: int):
@@ -185,6 +209,10 @@ def good_primes(
     bound: int = DEFAULT_PRIME_BOUND,
 ) -> list[PrimeField]:
     """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction."""
+    if count < 0:
+        raise ValueError(f"cannot find {count} primes")
+    if count == 0:
+        return []
     d = arr.d
     w = weak_comb_data(arr)
     found: list[PrimeField] = []
@@ -228,11 +256,13 @@ class CountTable:
 
 
 def _q_values(arr: LineArrangement, lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
-    """Q(x, y, z) mod q on numpy arrays (broadcasting allowed).
+    """Q(x, y, z) mod q on numpy arrays (broadcasting allowed): the oracle's arithmetic.
 
     ``lines`` are the forms reduced modulo q (``_lines_mod_q``); Ceva's cubic
     uses its closed form instead of its nine factors.
     """
+    import numpy as np
+
     if arr.builtin == "ceva":
         x3 = (x * x % q) * x % q
         y3 = (y * y % q) * y % q
@@ -245,43 +275,91 @@ def _q_values(arr: LineArrangement, lines: list[tuple[int, int, int]], q: int, x
 
 
 def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray, int]:
+    import numpy as np
+
     nz = vals[vals != 0]
-    classes = _dlog_table(field.p, field.g)[nz] % d
+    classes = _class_table(field.p, field.g, d)[nz]
     return np.bincount(classes, minlength=d), int(vals.size - nz.size)
 
 
-def count_classes(arr: LineArrangement, q: int) -> CountTable:
-    """Exact census via one pass over P^2(F_q) (O(q^2) work).
+# Points of the chart x = 1 summed per block: with intp indices and int32
+# classes a block's three buffers take about 0.5 MiB, whatever q is.
+_BLOCK_POINTS = 1 << 15
 
-    A projective point with Q-value v != 0 contributes its whole punctured
-    cone line, q - 1 affine points all lying in the class of v; a projective
-    zero of Q contributes q - 1 points with Q = 0, and the origin one more.
-    """
+
+def _count_classes(arr: LineArrangement, q: int, w: WeakCombData) -> CountTable:
+    """``count_classes`` with the weak data of ``arr`` already computed."""
+    import numpy as np
+
     d = arr.d
     if (q - 1) % d != 0:
         raise BadPrime(f"{q} is not 1 modulo {d}")
     field = PrimeField.make(q)
     lines = _lines_mod_q(arr, q, field)
-    _check_reduction(lines, q, weak_comb_data(arr))
+    _check_reduction(lines, q, w)
 
-    ys, zs = np.meshgrid(np.arange(q, dtype=np.int64), np.arange(q, dtype=np.int64), indexing="ij")
-    chart_x = _q_values(arr, lines, q, np.int64(1), ys.ravel(), zs.ravel())
-    chart_y = _q_values(arr, lines, q, np.int64(0), np.int64(1), np.arange(q, dtype=np.int64))
-    chart_z = _q_values(arr, lines, q, np.int64(0), np.int64(0), np.arange(1, 2, dtype=np.int64))
-    vals = np.concatenate([chart_x, np.atleast_1d(chart_y), np.atleast_1d(chart_z)])
+    table = _class_table(q, field.g, d)
+    zero = d * (d - 1) + 1
+    a, b, c = (np.array(col, dtype=np.intp)[:, None] for col in zip(*lines))
+    span = np.arange(q, dtype=np.intp)
+    offsets = (a + b * span) % q  # line l at (1, y, 0)
+    shifts = c * span % q  # c_l * z
+    hist = np.zeros(zero + 1, dtype=np.int64)
+    rows = max(1, _BLOCK_POINTS // q)
+    idx = np.empty((rows, q), dtype=np.intp)
+    acc = np.empty((rows, q), dtype=table.dtype)
+    tmp = np.empty_like(acc)
 
-    class_counts, zero_proj = _aggregate(vals, field, d)
+    def tally(offs: np.ndarray, shf: np.ndarray) -> None:
+        """Histogram the sums over lines l of table[offs[l, i] + shf[l, j]].
+
+        Every index lies inside the doubled table; mode="wrap" only lets
+        ``take`` write straight into ``out``, which the default mode buffers.
+        """
+        n, m = offs.shape[1], shf.shape[1]
+        index, out, spare = idx[:n, :m], acc[:n, :m], tmp[:n, :m]
+        for line, (r, s) in enumerate(zip(offs, shf)):
+            np.add(r[:, None], s[None, :], out=index)
+            np.take(table, index, out=spare if line else out, mode="wrap")
+            if line:
+                out += spare
+        np.minimum(out, zero, out=out)
+        np.add(hist, np.bincount(out.ravel(), minlength=zero + 1), out=hist)
+
+    for y0 in range(0, q, rows):
+        tally(offsets[:, y0 : y0 + rows], shifts)  # chart x = 1
+    tally(b, shifts)  # the row (0, 1, z)
+    tally(c, shifts[:, :1])  # the point (0, 0, 1)
+
+    # a sum below Z is a class sum, so it lies in the class of its residue mod d
+    folded = np.zeros(d * d, dtype=np.int64)
+    folded[:zero] = hist[:zero]
     return CountTable(
         q=q,
         g=field.g,
         d=d,
-        class_counts=tuple(int(c) * (q - 1) for c in class_counts),
-        zero_count=zero_proj * (q - 1) + 1,
+        class_counts=tuple(int(n) * (q - 1) for n in folded.reshape(d, d).sum(axis=0)),
+        zero_count=int(hist[zero]) * (q - 1) + 1,
     )
+
+
+def count_classes(arr: LineArrangement, q: int) -> CountTable:
+    """Exact census via one pass over P^2(F_q) (O(d q^2) work, memory bounded in q).
+
+    A projective point with Q-value v != 0 contributes its whole punctured
+    cone line, q - 1 affine points all lying in the class of v; a projective
+    zero of Q contributes q - 1 points with Q = 0, and the origin one more.
+    The class of Q at a point is the sum of its lines' classes, so the pass
+    adds table entries per line in blocks of about ``_BLOCK_POINTS`` points
+    and never multiplies values modulo q.
+    """
+    return _count_classes(arr, q, weak_comb_data(arr))
 
 
 def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
     """O(q^3) oracle: enumerate every affine triple.  Test path only."""
+    import numpy as np
+
     d = arr.d
     if (q - 1) % d != 0:
         raise BadPrime(f"{q} is not 1 modulo {d}")
@@ -324,10 +402,13 @@ def complement_count(table: CountTable) -> int:
 
 def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order."""
+    count = partial(_count_classes, arr, w=weak_comb_data(arr))
     if threads <= 1 or len(primes) <= 1:
-        return [count_classes(arr, q) for q in primes]
+        return [count(q) for q in primes]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda q: count_classes(arr, q), primes))
+        return list(pool.map(count, primes))
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,20 @@ def test_module_invocation_matches_golden():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "fermat_9.json").read_text()
+
+
+def test_spectrum_does_not_import_numpy():
+    # only point counting needs numpy; the weak-data route must not pay for its import
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from milnorhodge import cli\n"
+        f"code = cli.main(['spectrum', '--arrangement', {str(DATA / 'ceva.txt')!r}])\n"
+        "assert code == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "spectrum_ceva.json").read_text()

@@ -18,6 +18,7 @@ from milnorhodge.arrangement import (
 )
 from milnorhodge.errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from milnorhodge.pointcount import (
+    CountTable,
     FittedPoly,
     PrimeField,
     brute_force_count,
@@ -66,6 +67,16 @@ def test_bad_prime_wrong_residue():
 def test_not_enough_primes_below_bound():
     with pytest.raises(NotEnoughPrimes):
         good_primes(ceva_arrangement(), 3, min_q=19, bound=40)
+
+
+def test_good_primes_zero_count_is_empty():
+    # returns at once: a bound with no prime q = 1 (mod 9) below it cannot raise
+    assert good_primes(ceva_arrangement(), 0, bound=3) == []
+
+
+def test_good_primes_negative_count_rejected():
+    with pytest.raises(ValueError):
+        good_primes(ceva_arrangement(), -1)
 
 
 def test_prime_field_generators():
@@ -149,6 +160,66 @@ def test_untwisted_count_is_fiber_cardinality():
         direct = int((vals == 1).sum())
         table = count_classes(arr, q)
         assert twisted_counts(table, arr.d)[0] == direct
+
+
+def _product_route(arr, q: int) -> CountTable:
+    # the census over P^2 by multiplying line values mod q (the oracle's arithmetic)
+    import numpy as np
+
+    from milnorhodge.pointcount import _aggregate, _lines_mod_q, _q_values
+
+    field = PrimeField.make(q)
+    lines = _lines_mod_q(arr, q, field)
+    span = np.arange(q, dtype=np.int64)
+    ys, zs = np.meshgrid(span, span, indexing="ij")
+    one, zero = np.int64(1), np.int64(0)
+    vals = np.concatenate([
+        _q_values(arr, lines, q, one, ys.ravel(), zs.ravel()),
+        np.atleast_1d(_q_values(arr, lines, q, zero, one, span)),
+        np.atleast_1d(_q_values(arr, lines, q, zero, zero, one)),
+    ])
+    classes, zeros = _aggregate(vals, field, arr.d)
+    return CountTable(q, field.g, arr.d, tuple(int(c) * (q - 1) for c in classes), zeros * (q - 1) + 1)
+
+
+@pytest.mark.parametrize(
+    "arr, min_q",
+    [(ceva_arrangement(), 1200), (random_rational_arrangement(random.Random(11), 16), 600)],
+    ids=["ceva", "random16"],
+)
+def test_blocked_count_equals_product_route_over_many_blocks(arr, min_q):
+    from milnorhodge.pointcount import _BLOCK_POINTS
+
+    q = good_primes(arr, 1, min_q=min_q)[0].p
+    rows = _BLOCK_POINTS // q
+    assert q >= 3 * rows and q % rows  # three or more blocks, the last one partial
+    assert count_classes(arr, q) == _product_route(arr, q)
+
+
+def test_count_classes_memory_is_bounded_in_q():
+    # one int64 array over the whole chart x = 1 would already take 30 MiB at this q
+    import tracemalloc
+
+    import numpy  # noqa: F401  (keep the import itself out of the measurement)
+
+    tracemalloc.start()
+    try:
+        count_classes(boolean_arrangement(), 1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_count_tables_computes_weak_data_once(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    calls = []
+    real = pointcount.weak_comb_data
+    monkeypatch.setattr(pointcount, "weak_comb_data", lambda arr: calls.append(arr) or real(arr))
+    tables = count_tables(boolean_arrangement(), [7, 13, 19, 31])
+    assert len(calls) == 1
+    assert tables == [count_classes(boolean_arrangement(), q) for q in (7, 13, 19, 31)]
 
 
 def test_chiF_from_extracted_counts(generic3):
