@@ -52,6 +52,6 @@ from .pointcount import (
     hodge_from_counts,
     twisted_counts,
 )
-from .repring import CyclotomicInt, HodgeTable, ReprClass, decode_characters
+from .repring import HodgeTable, ReprClass, decode_characters
 
 __version__ = "0.1.0"

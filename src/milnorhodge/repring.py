@@ -11,72 +11,27 @@ container serves two purposes, told apart only by its label:
 * an Euler-alternating Hodge-Deligne polynomial, whose ``(p, q)``
   coefficient may be a genuinely virtual class.
 
-Character decoding (a vector of traces -> a multiplicity vector) is done with
-a floating-point inverse DFT and then certified exactly: for every ``s`` the
-integer polynomial ``sum_j n_j x^{js mod d} - trace(s)`` must be divisible by
-the d-th cyclotomic polynomial.  Rounding is safe because decode inputs are
-small integers; the divisibility check restores exactness.
+Character decoding (a vector of traces -> a multiplicity vector) is exact
+integer arithmetic.  Integer traces are fixed by the Galois group of Q(lam), so
+the trace at ``lam^s`` depends only on ``gcd(s, d)``; the inverse transform then
+collapses to Ramanujan sums, ``m_j = (1/d) sum_{e | d} trace(e) c_{d/e}(j)``, and
+the input is a virtual character exactly when every such sum is divisible by d.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DecodeError
 
 __all__ = [
     "ReprClass",
     "HodgeTable",
-    "CyclotomicInt",
-    "cyclotomic_polynomial",
-    "character_traces",
     "decode_characters",
 ]
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (ascending coefficient lists)
-
-
-def _poly_trim(coeffs: Sequence[int]) -> tuple[int, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact division of integer polynomials; ``den`` must be monic."""
-    den = _poly_trim(den)
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dd = len(den) - 1
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quo[i - dd] = c
-        for k, dc in enumerate(den):
-            rem[i - dd + k] -= c * dc
-    return _poly_trim(quo), _poly_trim(rem)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of Phi_d, via exact division of x^d - 1."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    num: Sequence[int] = (-1,) + (0,) * (d - 1) + (1,)
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(e))
-            assert rem == (), "x^d - 1 must be divisible by Phi_e for e | d"
-    return _poly_trim(num)
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +200,6 @@ class HodgeTable:
 
     # -- the standard transforms
 
-    def dual(self) -> "HodgeTable":
-        """h^{p,q}(dual, alpha) = h^{-p,-q}(self, conj(alpha))."""
-        out = {(-p, -q): r.involution() for (p, q), r in self.entries.items()}
-        return HodgeTable(self.d, out, self.label)
-
-    def tate_twist(self, m: int) -> "HodgeTable":
-        """h^{p,q}(twist(m), alpha) = h^{p+m,q+m}(self, alpha)."""
-        out = {(p - m, q - m): r for (p, q), r in self.entries.items()}
-        return HodgeTable(self.d, out, self.label)
-
     def poincare_dual(self, n: int) -> "HodgeTable":
         """Entry (a, b) of the output is the involution of entry (n-a, n-b).
 
@@ -300,105 +245,56 @@ class HodgeTable:
 
 
 # ---------------------------------------------------------------------------
-# exact cyclotomic integers and character decoding
+# exact character decoding
 
 
-@dataclass(frozen=True, eq=False)
-class CyclotomicInt:
-    """Element sum_t c_t lam^t of Z[lam] in the group-algebra basis.
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
-    The basis is redundant (the lam^t satisfy Phi_d(lam) = 0), so equality
-    goes through the canonical remainder modulo Phi_d.
+
+def _ramanujan_sum(n: int, j: int) -> int:
+    """c_n(j) = sum of zeta^j over the primitive n-th roots of unity zeta."""
+    g = math.gcd(n, j)
+    return sum(_mobius(n // k) * k for k in range(1, g + 1) if g % k == 0)
+
+
+def decode_characters(traces: Sequence[int]) -> ReprClass:
+    """Recover the multiplicity vector from integer traces at all lam^s.
+
+    Raises :class:`DecodeError` when a trace is not an integer or when the
+    input is not the trace vector of any virtual mu_d-representation.
     """
-
-    d: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.d:
-            raise ValueError("coefficient vector must have length d")
-
-    @classmethod
-    def from_int(cls, d: int, value: int) -> "CyclotomicInt":
-        return cls(d, (value,) + (0,) * (d - 1))
-
-    def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        if self.d != other.d:
-            raise ValueError("mixed moduli")
-        return CyclotomicInt(self.d, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        if self.d != other.d:
-            raise ValueError("mixed moduli")
-        return CyclotomicInt(self.d, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def reduced(self) -> tuple[int, ...]:
-        """Canonical remainder modulo Phi_d (degree < phi(d))."""
-        _, rem = _poly_divmod(self.coeffs, cyclotomic_polynomial(self.d))
-        return rem
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.d, other)
-        if not isinstance(other, CyclotomicInt):
-            return NotImplemented
-        return self.d == other.d and self.reduced() == other.reduced()
-
-    def complex_value(self) -> complex:
-        d = self.d
-        return sum(c * cmath.exp(2j * cmath.pi * t / d) for t, c in enumerate(self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt(d={self.d}, coeffs={self.coeffs})"
-
-
-Trace = Union[int, CyclotomicInt]
-
-
-def character_traces(r: ReprClass) -> tuple[CyclotomicInt, ...]:
-    """Exact trace of r at every group element lam^s, s = 0..d-1."""
-    d = r.d
-    out = []
-    for s in range(d):
-        coeffs = [0] * d
-        for j, n in enumerate(r.mult):
-            coeffs[(j * s) % d] += n
-        out.append(CyclotomicInt(d, tuple(coeffs)))
-    return tuple(out)
-
-
-def decode_characters(traces: Sequence[Trace]) -> ReprClass:
-    """Recover the multiplicity vector from traces at all lam^s.
-
-    Raises :class:`DecodeError` when the input is not the trace vector of any
-    virtual mu_d-representation.
-    """
-    traces = list(traces)
-    d = len(traces)
+    values = []
+    for s, t in enumerate(traces):
+        try:
+            values.append(operator.index(t))
+        except TypeError:
+            raise DecodeError(f"trace at s={s} is not an integer: {t!r}") from None
+    d = len(values)
     if d < 1:
         raise DecodeError("empty trace vector")
-    values = []
-    for t in traces:
-        values.append(t.complex_value() if isinstance(t, CyclotomicInt) else complex(t))
-
-    mult = []
-    for j in range(d):
-        acc = sum(values[s] * cmath.exp(-2j * cmath.pi * j * s / d) for s in range(d))
-        mult.append(round((acc / d).real))
-
-    # exact certification: sum_j mult[j] lam^{js} - trace(s) == 0 in Z[lam]
-    phi = cyclotomic_polynomial(d)
-    for s, t in enumerate(traces):
-        diff = [0] * d
-        for j, n in enumerate(mult):
-            diff[(j * s) % d] += n
-        if isinstance(t, CyclotomicInt):
-            diff = [a - b for a, b in zip(diff, t.coeffs)]
-        else:
-            diff[0] -= int(t)
-        _, rem = _poly_divmod(diff, phi)
-        if rem:
+    for s, t in enumerate(values):
+        if t != values[math.gcd(s, d) % d]:
             raise DecodeError(
-                f"trace vector is not a virtual character of mu_{d} (fails at s={s})"
+                f"trace vector is not a virtual character of mu_{d} "
+                f"(trace at s={s} differs from its Galois conjugates)"
             )
-    return ReprClass(d, tuple(mult))
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    # m_j depends only on g = gcd(j, d); j = g % d is the first index with it
+    by_gcd = {}
+    for g in divisors:
+        total = sum(values[e % d] * _ramanujan_sum(d // e, g) for e in divisors)
+        if total % d:
+            raise DecodeError(
+                f"trace vector is not a virtual character of mu_{d} (fails at j={g % d})"
+            )
+        by_gcd[g] = total // d
+    return ReprClass(d, tuple(by_gcd[math.gcd(j, d)] for j in range(d)))

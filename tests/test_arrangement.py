@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
     LineArrangement,
@@ -69,6 +71,22 @@ def test_parse_ceva_builtin():
 def test_line_canonical_form():
     assert ProjLine.from_coeffs(-2, 4, -6) == ProjLine(1, -2, 3)
     assert ProjLine.from_coeffs(0, -3, -9) == ProjLine(0, 1, 3)
+
+
+_coeff = st.integers(-9, 9)
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: ProjLine.from_coeffs(*t))
+# what may follow a written form: newlines, "/" separators and "#" comments
+_separators = st.sampled_from(["\n", "/", " / ", "\n# note 1 2 3 / 4 5 6\n", "\n\n  # note\n"])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(_lines, min_size=1, max_size=8, unique=True), st.data())
+def test_written_lines_parse_back(lines, data):
+    arr = LineArrangement(tuple(lines))
+    text = "# a written arrangement\n"
+    for coeffs in arr.describe()["lines"]:
+        text += " ".join(str(c) for c in coeffs) + data.draw(_separators)
+    assert parse_arrangement(text) == arr
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,8 @@ def test_fiber_tables_zero_and_involutive():
 
 
 def test_fiber_duality_routes_agree_on_symmetric_tables():
-    # the bidegree pull used by fiber_tables must agree with the composite
-    # dual-then-Tate-twist route whenever the input is conjugation symmetric
+    # the bidegree pull used by fiber_tables must agree with the
+    # Poincare-duality route whenever the input is conjugation symmetric
     rng = random.Random(31)
     for _ in range(10):
         d = rng.randint(2, 9)
@@ -186,7 +186,7 @@ def test_fiber_duality_routes_agree_on_symmetric_tables():
         t = HodgeTable(d, {(2, 1): half, (1, 2): half.involution()})
         assert t.is_conjugation_symmetric()
         h1f, _ = fiber_tables(HodgeTable(d, {}), t)
-        assert h1f == t.dual().tate_twist(-2)
+        assert h1f == t.poincare_dual(2)
 
 
 def test_trivial_tables():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from milnorhodge.arrangement import boolean_arrangement
 from milnorhodge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -304,6 +305,48 @@ def test_check_corrupted_h3_fails_named_check(capsys):
     assert code == 1 and not payload["all_pass"]
     failed = {c["name"] for c in payload["checks"] if not c["pass"]}
     assert "conjugation_symmetry" in failed
+
+
+def _failed_details(out: str) -> dict[str, str]:
+    return {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["pass"]}
+
+
+def test_check_reports_local_dimension_law_numbers(capsys, monkeypatch):
+    from milnorhodge import cli
+    from milnorhodge.localhodge import LocalHodgeTable
+
+    real = cli.local_hodge_table
+
+    def one_short(sing):
+        (key, n), *rest = real(sing).counts
+        return LocalHodgeTable(sing, ((key, n - 1), *rest))
+
+    monkeypatch.setattr(cli, "local_hodge_table", one_short)
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 1
+    # boolean: double points of a 3-line arrangement, Milnor number (2-1)^2 (3-1) = 2
+    assert _failed_details(out) == {"local_dimension_law_k2": "table total 1 vs Milnor number 2"}
+
+
+def test_check_reports_first_differing_count(capsys, monkeypatch):
+    from milnorhodge import pointcount
+
+    real = pointcount.brute_force_count
+
+    def one_point_moved(arr, q):
+        t = real(arr, q)
+        counts = list(t.class_counts)
+        counts[1] += 1
+        counts[2] -= 1
+        return pointcount.CountTable(t.q, t.g, t.d, tuple(counts), t.zero_count)
+
+    monkeypatch.setattr(pointcount, "brute_force_count", one_point_moved)
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 1
+    fast = pointcount.count_classes(boolean_arrangement(), 7).class_counts[1]
+    details = _failed_details(out)
+    assert details["count_oracle_q7"] == f"class_counts[1]: fast {fast} vs brute force {fast + 1}"
+    assert set(details) == {"count_oracle_q7", "count_oracle_q13"}
 
 
 def test_pretty_mode_is_human_readable(capsys):
