@@ -17,12 +17,16 @@ same number of times.
 The pass adds classes instead of multiplying values modulo q: the class of
 Q at a point is the sum over the lines of dlog_g(line value) mod d, read
 from one cached table whose entry at 0 is a sentinel larger than any sum of
-d classes.  On the chart x = 1 a line's value at (1, y, z) is the table
-index (a + b y) + (c z), a row offset plus a column shift, looked up in the
-doubled table with no reduction.  The chart is summed in blocks of rows
-holding about 2^15 points into reused buffers, and each block goes into a
-histogram of O(d^2) sums, so memory stays bounded as q grows.  Only the
-brute-force oracle multiplies values modulo q.
+d classes.  On the chart x = 1 a line with c != 0 has the value
+c (z + u(y)) at (1, y, z), where u(y) = (a + b y) / c, so along row y its
+classes are class(c) plus the contiguous window T2[u(y) : u(y) + q] of the
+doubled table: a row is a sum of window copies, and the classes of the c's
+are added once, as a rotation of the chart's folded histogram.  A line with
+c = 0 modulo q is constant along each row and adds one value per row.  The
+chart is summed in blocks of rows holding about 2^15 points into a reused
+buffer, and each block goes into a histogram of O(d^2) sums, so memory
+stays bounded as q grows.  Only the brute-force oracle multiplies values
+modulo q.
 
 Counts fitted across several primes by exact Lagrange interpolation give,
 per twist, a candidate polynomial in q; when every remaining prime confirms
@@ -282,78 +286,83 @@ def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray,
     return np.bincount(classes, minlength=d), int(vals.size - nz.size)
 
 
-# Points of the chart x = 1 summed per block: with intp indices and int32
-# classes a block's three buffers take about 0.5 MiB, whatever q is.
+# Points of the chart x = 1 summed per block: with int32 classes a block's
+# two buffers take about 0.25 MiB, whatever q is.
 _BLOCK_POINTS = 1 << 15
 
 
-def _count_classes(arr: LineArrangement, q: int, w: WeakCombData) -> CountTable:
-    """``count_classes`` with the weak data of ``arr`` already computed."""
+def count_classes(arr: LineArrangement, q: int, w: WeakCombData | None = None) -> CountTable:
+    """Exact census via one pass over P^2(F_q) (O(d q^2) work, memory bounded in q).
+
+    A projective point with Q-value v != 0 contributes its whole punctured
+    cone line, q - 1 affine points all lying in the class of v; a projective
+    zero of Q contributes q - 1 points with Q = 0, and the origin one more.
+    The class of Q at a point is the sum of its lines' classes.  On the chart
+    x = 1 each row is a sum of contiguous windows of the class table, one
+    per line, added in blocks of about ``_BLOCK_POINTS`` points, with the
+    classes of the lines' z-coefficients applied once as a shift; values are
+    never multiplied modulo q.  ``w`` is the weak data of ``arr`` when the
+    caller already has it.
+    """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     d = arr.d
     if (q - 1) % d != 0:
         raise BadPrime(f"{q} is not 1 modulo {d}")
     field = PrimeField.make(q)
     lines = _lines_mod_q(arr, q, field)
-    _check_reduction(lines, q, w)
+    _check_reduction(lines, q, weak_comb_data(arr) if w is None else w)
 
     table = _class_table(q, field.g, d)
     zero = d * (d - 1) + 1
-    a, b, c = (np.array(col, dtype=np.intp)[:, None] for col in zip(*lines))
     span = np.arange(q, dtype=np.intp)
-    offsets = (a + b * span) % q  # line l at (1, y, 0)
-    shifts = c * span % q  # c_l * z
-    hist = np.zeros(zero + 1, dtype=np.int64)
+    # At (1, y, z) a line with c != 0 has value c (z + u(y)), u = (a + b y) / c,
+    # so its classes along row y are class(c) + T2[u(y) : u(y) + q]; a line
+    # with c = 0 has the class T[a + b y] all along the row.
+    starts = []
+    flat = np.zeros(q, dtype=table.dtype)
+    shift = 0
+    for a, b, c in lines:
+        if c:
+            inv = pow(c, q - 2, q)
+            starts.append((a * inv % q + (b * inv % q) * span) % q)
+            shift += int(table[c])
+        else:
+            flat += table[(a + b * span) % q]
+    window = sliding_window_view(table, q)
     rows = max(1, _BLOCK_POINTS // q)
-    idx = np.empty((rows, q), dtype=np.intp)
     acc = np.empty((rows, q), dtype=table.dtype)
-    tmp = np.empty_like(acc)
 
-    def tally(offs: np.ndarray, shf: np.ndarray) -> None:
-        """Histogram the sums over lines l of table[offs[l, i] + shf[l, j]].
+    def histogram(sums: np.ndarray) -> np.ndarray:
+        """Counts of ``sums`` per class residue mod d, then the count of zeros of Q."""
+        np.minimum(sums, zero, out=sums)
+        hist = np.bincount(sums.ravel(), minlength=zero + 1)
+        # a sum below Z is a class sum, so it lies in the class of its residue mod d
+        folded = np.zeros(d * d, dtype=np.int64)
+        folded[:zero] = hist[:zero]
+        return np.append(folded.reshape(d, d).sum(axis=0), hist[zero])
 
-        Every index lies inside the doubled table; mode="wrap" only lets
-        ``take`` write straight into ``out``, which the default mode buffers.
-        """
-        n, m = offs.shape[1], shf.shape[1]
-        index, out, spare = idx[:n, :m], acc[:n, :m], tmp[:n, :m]
-        for line, (r, s) in enumerate(zip(offs, shf)):
-            np.add(r[:, None], s[None, :], out=index)
-            np.take(table, index, out=spare if line else out, mode="wrap")
-            if line:
-                out += spare
-        np.minimum(out, zero, out=out)
-        np.add(hist, np.bincount(out.ravel(), minlength=zero + 1), out=hist)
-
+    chart = np.zeros(d + 1, dtype=np.int64)
     for y0 in range(0, q, rows):
-        tally(offsets[:, y0 : y0 + rows], shifts)  # chart x = 1
-    tally(b, shifts)  # the row (0, 1, z)
-    tally(c, shifts[:, :1])  # the point (0, 0, 1)
+        out = acc[: min(rows, q - y0)]
+        out[...] = flat[y0 : y0 + rows, None]
+        for u in starts:
+            out += window[u[y0 : y0 + rows]]
+        chart += histogram(out)
+    chart[:d] = np.roll(chart[:d], shift)
 
-    # a sum below Z is a class sum, so it lies in the class of its residue mod d
-    folded = np.zeros(d * d, dtype=np.int64)
-    folded[:zero] = hist[:zero]
+    # the row (0, 1, z) and the point (0, 0, 1), O(d q) entries gathered directly
+    _, b, c = (np.array(col, dtype=np.intp)[:, None] for col in zip(*lines))
+    rest = np.append(table[(b + c * span) % q].sum(axis=0), table[c].sum())
+    counts = chart + histogram(rest)
     return CountTable(
         q=q,
         g=field.g,
         d=d,
-        class_counts=tuple(int(n) * (q - 1) for n in folded.reshape(d, d).sum(axis=0)),
-        zero_count=int(hist[zero]) * (q - 1) + 1,
+        class_counts=tuple(int(n) * (q - 1) for n in counts[:d]),
+        zero_count=int(counts[d]) * (q - 1) + 1,
     )
-
-
-def count_classes(arr: LineArrangement, q: int) -> CountTable:
-    """Exact census via one pass over P^2(F_q) (O(d q^2) work, memory bounded in q).
-
-    A projective point with Q-value v != 0 contributes its whole punctured
-    cone line, q - 1 affine points all lying in the class of v; a projective
-    zero of Q contributes q - 1 points with Q = 0, and the origin one more.
-    The class of Q at a point is the sum of its lines' classes, so the pass
-    adds table entries per line in blocks of about ``_BLOCK_POINTS`` points
-    and never multiplies values modulo q.
-    """
-    return _count_classes(arr, q, weak_comb_data(arr))
 
 
 def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
@@ -402,7 +411,7 @@ def complement_count(table: CountTable) -> int:
 
 def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order."""
-    count = partial(_count_classes, arr, w=weak_comb_data(arr))
+    count = partial(count_classes, arr, w=weak_comb_data(arr))
     if threads <= 1 or len(primes) <= 1:
         return [count(q) for q in primes]
     from concurrent.futures import ThreadPoolExecutor
@@ -470,16 +479,19 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
     """
     per_twist: list[tuple[Fraction, ...] | None] = []
     witnesses: list[tuple[int, int]] = []
+    fits: dict[tuple[tuple[int, int], ...], tuple[tuple[Fraction, ...], int | None]] = {}
     for j in sorted(sequences):
-        pts = list(sequences[j])
+        pts = tuple(sequences[j])
         if len({q for q, _ in pts}) != len(pts):
             raise BadPrime(f"twist {j}: a prime is repeated in {[q for q, _ in pts]}")
         if len(pts) < degree + 2:
             raise NotEnoughPrimes(
                 f"twist {j}: need at least {degree + 2} primes, got {len(pts)}"
             )
-        coeffs = _lagrange(pts[: degree + 1])
-        bad = next((q for q, y in pts if _poly_at(coeffs, q) != y), None)
+        if pts not in fits:  # twists often share a sequence; fit each one once
+            coeffs = _lagrange(pts[: degree + 1])
+            fits[pts] = coeffs, next((q for q, y in pts if _poly_at(coeffs, q) != y), None)
+        coeffs, bad = fits[pts]
         if bad is None:
             per_twist.append(coeffs)
         else:
@@ -489,7 +501,8 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
 
 
 def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
-    seqs = {j: [(t.q, twisted_counts(t, d)[j]) for t in tables] for j in range(d)}
+    counts = [(t.q, twisted_counts(t, d)) for t in tables]
+    seqs = {j: [(q, tw[j]) for q, tw in counts] for j in range(d)}
     return fit_polynomials(seqs, degree=2)
 
 

@@ -197,18 +197,65 @@ def test_blocked_count_equals_product_route_over_many_blocks(arr, min_q):
 
 
 def test_count_classes_memory_is_bounded_in_q():
-    # one int64 array over the whole chart x = 1 would already take 30 MiB at this q
+    # one int64 array over the whole chart x = 1 would already take 30 MiB at
+    # these q; twelve lines also make the O(d q) per-line row starts count
     import tracemalloc
 
     import numpy  # noqa: F401  (keep the import itself out of the measurement)
 
-    tracemalloc.start()
-    try:
-        count_classes(boolean_arrangement(), 1999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    twelve = random_rational_arrangement(random.Random(0), 12)
+    assert good_primes(twelve, 1, min_q=2017)[0].p == 2017
+    for arr, q in ((boolean_arrangement(), 1999), (twelve, 2017)):
+        tracemalloc.start()
+        try:
+            count_classes(arr, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (arr.d, q, peak)
+
+
+def test_count_tables_calls_count_classes_once_per_prime(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    calls = []
+    real = pointcount.count_classes
+    monkeypatch.setattr(pointcount, "count_classes", lambda arr, q, w=None: calls.append(q) or real(arr, q, w))
+    primes = [7, 13, 19, 31]
+    count_tables(boolean_arrangement(), primes)
+    assert calls == primes
+    calls.clear()
+    count_tables(boolean_arrangement(), primes, threads=2)
+    assert sorted(calls) == primes
+
+
+@pytest.mark.parametrize(
+    "coeffs, q",
+    [
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], 7),  # a pencil through (0:0:1): every c = 0
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)], 13),
+        ([(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)], 13),  # the line z = 0: a = b = 0
+        ([(1, 0, 1), (0, 1, 1), (1, 1, 1)], 13),  # no line has c = 0
+        ([(1, 0, 1), (0, 1, 1), (1, 2, 7)], 7),  # c = 7 is nonzero over Z but 0 mod 7
+    ],
+    ids=["pencil3", "pencil4", "z0", "no-c0", "c0-mod-q"],
+)
+def test_count_classes_edge_lines_equal_brute_force(coeffs, q):
+    arr = parse_arrangement("".join(f"{a} {b} {c}\n" for a, b, c in coeffs))
+    assert good_primes(arr, 1, min_q=q)[0].p == q
+    assert count_classes(arr, q) == brute_force_count(arr, q)
+
+
+def test_fit_polynomials_fits_each_distinct_sequence_once(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    calls = []
+    real = pointcount._lagrange
+    monkeypatch.setattr(pointcount, "_lagrange", lambda pts: calls.append(pts) or real(pts))
+    tables = count_tables(boolean_arrangement(), [7, 13, 19, 31, 37])
+    fit = complement_fit(tables, 3)
+    assert len(calls) == 1
+    assert fit.per_twist == (fit.per_twist[0],) * 3 and fit.is_polynomial()
 
 
 def test_count_tables_computes_weak_data_once(monkeypatch):
