@@ -28,6 +28,12 @@ buffer, and each block goes into a histogram of O(d^2) sums, so memory
 stays bounded as q grows.  Only the brute-force oracle multiplies values
 modulo q.
 
+Counts are taken only at primes of good reduction, where the lines stay
+distinct and nonzero and the intersection data are those over Z.  That is
+decided once per arrangement: q is good exactly when it does not divide the
+arrangement's cached ``bad_modulus``, so the prime search and each reduction
+test one remainder instead of recomputing the incidences modulo q.
+
 Counts fitted across several primes by exact Lagrange interpolation give,
 per twist, a candidate polynomial in q; when every remaining prime confirms
 it, the coefficient-of-t^i traces decode to a virtual character and the
@@ -44,7 +50,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import LineArrangement, WeakCombData, _pair_incidences, weak_comb_data
+from .arrangement import LineArrangement
+from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, decode_characters
 
@@ -158,52 +165,15 @@ def _primes_at_least(start: int):
 # reduction of the arrangement modulo q
 
 
-def _normalize_mod(triple: Sequence[int], q: int) -> tuple[int, int, int]:
-    """Point of P^2(F_q) with first nonzero coordinate 1; a zero triple is a bad prime.
-
-    The only zero triples reaching here are cross products of two lines that
-    coincide modulo q.
-    """
-    t = tuple(v % q for v in triple)
-    for v in t:
-        if v:
-            inv = pow(v, q - 2, q)
-            return tuple((w * inv) % q for w in t)  # type: ignore[return-value]
-    raise BadPrime(f"two lines coincide modulo {q}")
-
-
 def _lines_mod_q(arr: LineArrangement, q: int, field: PrimeField) -> list[tuple[int, int, int]]:
+    """The forms of ``arr`` reduced modulo q; BadPrime unless the reduction is good."""
+    if arr.bad_modulus % q == 0:
+        raise BadPrime(f"the arrangement has bad reduction modulo {q}")
     if arr.builtin == "ceva":
-        if (q - 1) % 3 != 0:
-            raise BadPrime(f"{q} has no cube roots of unity")
         w = pow(field.g, (q - 1) // 3, q)
-        lines = []
-        for j in range(3):
-            lines.append((1, (-pow(w, j, q)) % q, 0))
-        for j in range(3):
-            lines.append((1, 0, (-pow(w, j, q)) % q))
-        for j in range(3):
-            lines.append((0, 1, (-pow(w, j, q)) % q))
-        return lines
-    out = []
-    for line in arr.lines:
-        t = tuple(v % q for v in line.coeffs)
-        if t == (0, 0, 0):
-            raise BadPrime(f"a line vanishes modulo {q}")
-        out.append(t)
-    norm = {_normalize_mod(t, q) for t in out}
-    if len(norm) != len(out):
-        raise BadPrime(f"two lines coincide modulo {q}")
-    return out
-
-
-def _check_reduction(lines: list[tuple[int, int, int]], q: int, w: WeakCombData) -> None:
-    """Raise BadPrime unless the census of the reduced lines is that over Z."""
-    census: dict[int, int] = {}
-    for idx in _pair_incidences(lines, partial(_normalize_mod, q=q)).values():
-        census[len(idx)] = census.get(len(idx), 0) + 1
-    if census != w.counts:
-        raise BadPrime(f"intersection multiplicities degrade modulo {q}")
+        roots = [-pow(w, j, q) % q for j in range(3)]
+        return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
+    return [(line.a % q, line.b % q, line.c % q) for line in arr.lines]
 
 
 def good_primes(
@@ -217,22 +187,16 @@ def good_primes(
         raise ValueError(f"cannot find {count} primes")
     if count == 0:
         return []
-    d = arr.d
-    w = weak_comb_data(arr)
+    d, bad = arr.d, arr.bad_modulus
     found: list[PrimeField] = []
     for q in _primes_at_least(min_q):
         if q > bound:
             raise NotEnoughPrimes(
                 f"found {len(found)} good primes below {bound}, needed {count}"
             )
-        if (q - 1) % d != 0:
+        if (q - 1) % d != 0 or bad % q == 0:
             continue
-        field = PrimeField.make(q)
-        try:
-            _check_reduction(_lines_mod_q(arr, q, field), q, w)
-        except BadPrime:
-            continue
-        found.append(field)
+        found.append(PrimeField.make(q))
         if len(found) == count:
             return found
 
@@ -291,7 +255,7 @@ def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray,
 _BLOCK_POINTS = 1 << 15
 
 
-def count_classes(arr: LineArrangement, q: int, w: WeakCombData | None = None) -> CountTable:
+def count_classes(arr: LineArrangement, q: int) -> CountTable:
     """Exact census via one pass over P^2(F_q) (O(d q^2) work, memory bounded in q).
 
     A projective point with Q-value v != 0 contributes its whole punctured
@@ -301,8 +265,7 @@ def count_classes(arr: LineArrangement, q: int, w: WeakCombData | None = None) -
     x = 1 each row is a sum of contiguous windows of the class table, one
     per line, added in blocks of about ``_BLOCK_POINTS`` points, with the
     classes of the lines' z-coefficients applied once as a shift; values are
-    never multiplied modulo q.  ``w`` is the weak data of ``arr`` when the
-    caller already has it.
+    never multiplied modulo q.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -312,7 +275,6 @@ def count_classes(arr: LineArrangement, q: int, w: WeakCombData | None = None) -
         raise BadPrime(f"{q} is not 1 modulo {d}")
     field = PrimeField.make(q)
     lines = _lines_mod_q(arr, q, field)
-    _check_reduction(lines, q, weak_comb_data(arr) if w is None else w)
 
     table = _class_table(q, field.g, d)
     zero = d * (d - 1) + 1
@@ -411,7 +373,7 @@ def complement_count(table: CountTable) -> int:
 
 def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order."""
-    count = partial(count_classes, arr, w=weak_comb_data(arr))
+    count = partial(count_classes, arr)
     if threads <= 1 or len(primes) <= 1:
         return [count(q) for q in primes]
     from concurrent.futures import ThreadPoolExecutor

@@ -229,6 +229,19 @@ def test_bad_prime_error(capsys):
     assert json.loads(out)["error"] == "bad_prime"
 
 
+def test_bad_reduction_prime_is_bad_prime(capsys):
+    # x, y, x + y + 7z are concurrent modulo 7
+    code, out = run_cli(
+        capsys,
+        "count",
+        "--arrangement", str(DATA / "degenerate7.txt"),
+        "--target", "complement",
+        "--primes", "7,13,19,31,37",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "bad_prime"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

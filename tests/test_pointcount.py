@@ -59,6 +59,98 @@ def test_degenerate_prime_excluded(data_dir):
         count_classes(arr, 7)
 
 
+def test_lines_off_canonical_form_reduce_by_their_content():
+    # 7x = 0 vanishes modulo 7 although 7 divides no canonical coefficient
+    arr = LineArrangement((ProjLine(7, 0, 0),))
+    with pytest.raises(BadPrime):
+        count_classes(arr, 7)
+    assert [f.p for f in good_primes(arr, 4)] == [2, 3, 5, 11]
+
+
+# The reference for the bad modulus: the census of the reduced lines over F_q,
+# from normalizing every reduced line and every pairwise cross product in
+# P^2(F_q) and tallying the lines through each meeting point.
+
+
+def _normalize_mod(triple, q):
+    """Point of P^2(F_q) with first nonzero coordinate 1; None for a zero triple."""
+    t = tuple(v % q for v in triple)
+    for v in t:
+        if v:
+            inv = pow(v, q - 2, q)
+            return tuple(w * inv % q for w in t)
+    return None
+
+
+def _census_mod_q(lines, q):
+    """Multiplicity census of the reduced lines; None when a line vanishes or two coincide."""
+    if len({_normalize_mod(t, q) for t in lines} - {None}) != len(lines):
+        return None
+    incident = {}
+    for i, (a1, b1, c1) in enumerate(lines):
+        for j in range(i + 1, len(lines)):
+            a2, b2, c2 = lines[j]
+            pt = _normalize_mod((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2), q)
+            incident.setdefault(pt, set()).update((i, j))
+    census = {}
+    for idx in incident.values():
+        census[len(idx)] = census.get(len(idx), 0) + 1
+    return census
+
+
+def _assert_bad_modulus_matches_census(arr, lines_mod, primes):
+    counts = weak_comb_data(arr).counts
+    for q in primes:
+        good = _census_mod_q(lines_mod(q), q) == counts
+        assert (arr.bad_modulus % q != 0) == good, (arr, q)
+
+
+_PRIMES_BELOW_400 = [q for q in range(2, 400) if all(q % f for f in range(2, q))]
+
+
+def _rational_mod(arr):
+    return lambda q: [tuple(v % q for v in line.coeffs) for line in arr.lines]
+
+
+@pytest.mark.parametrize("coeff_bound", [2, 4, 9])
+def test_bad_modulus_matches_census_mod_q_on_random_arrangements(coeff_bound):
+    rng = random.Random(coeff_bound)
+    for d in range(1, 15):
+        for _ in range(3):
+            arr = random_rational_arrangement(rng, d, coeff_bound)
+            _assert_bad_modulus_matches_census(arr, _rational_mod(arr), _PRIMES_BELOW_400)
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_bad_modulus_matches_census_mod_q_on_pencils(d):
+    # lines through (0:0:1) and through (1:1:1), each alone and with one more
+    # line that misses the centre (a near-pencil)
+    for pencil, extra in (
+        ([(1, k, 0) for k in range(d)], (0, 0, 1)),
+        ([(k, 1, -1 - k) for k in range(-d // 2, d - d // 2)], (1, 2, 4)),
+    ):
+        for coeffs in (pencil, pencil + [extra]):
+            arr = LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in coeffs))
+            _assert_bad_modulus_matches_census(arr, _rational_mod(arr), _PRIMES_BELOW_400)
+
+
+def test_bad_modulus_matches_census_mod_q_on_ceva():
+    arr = ceva_arrangement()
+
+    def lines_mod(q):
+        w = next(x for x in range(2, q) if pow(x, 3, q) == 1)
+        cube_roots = [pow(w, j, q) for j in range(3)]
+        return (
+            [(1, -r % q, 0) for r in cube_roots]
+            + [(1, 0, -r % q) for r in cube_roots]
+            + [(0, 1, -r % q) for r in cube_roots]
+        )
+
+    primes = [q for q in range(19, 3000, 18) if all(q % f for f in range(2, int(q**0.5) + 1))]
+    assert len(primes) > 60
+    _assert_bad_modulus_matches_census(arr, lines_mod, primes)
+
+
 def test_bad_prime_wrong_residue():
     with pytest.raises(BadPrime):
         count_classes(boolean_arrangement(), 5)  # 5 != 1 mod 3
@@ -220,7 +312,7 @@ def test_count_tables_calls_count_classes_once_per_prime(monkeypatch):
 
     calls = []
     real = pointcount.count_classes
-    monkeypatch.setattr(pointcount, "count_classes", lambda arr, q, w=None: calls.append(q) or real(arr, q, w))
+    monkeypatch.setattr(pointcount, "count_classes", lambda arr, q: calls.append(q) or real(arr, q))
     primes = [7, 13, 19, 31]
     count_tables(boolean_arrangement(), primes)
     assert calls == primes
@@ -258,15 +350,17 @@ def test_fit_polynomials_fits_each_distinct_sequence_once(monkeypatch):
     assert fit.per_twist == (fit.per_twist[0],) * 3 and fit.is_polynomial()
 
 
-def test_count_tables_computes_weak_data_once(monkeypatch):
-    import milnorhodge.pointcount as pointcount
+def test_bad_modulus_is_computed_once_per_arrangement(monkeypatch):
+    import milnorhodge.arrangement as arrangement
 
     calls = []
-    real = pointcount.weak_comb_data
-    monkeypatch.setattr(pointcount, "weak_comb_data", lambda arr: calls.append(arr) or real(arr))
-    tables = count_tables(boolean_arrangement(), [7, 13, 19, 31])
+    real = arrangement.intersection_data
+    monkeypatch.setattr(arrangement, "intersection_data", lambda arr: calls.append(arr) or real(arr))
+    arr = random_rational_arrangement(random.Random(5), 6)
+    primes = [f.p for f in good_primes(arr, 5, min_q=100)]
+    tables = count_tables(arr, primes)
     assert len(calls) == 1
-    assert tables == [count_classes(boolean_arrangement(), q) for q in (7, 13, 19, 31)]
+    assert tables == [count_classes(arr, q) for q in primes]
 
 
 def test_chiF_from_extracted_counts(generic3):
