@@ -33,7 +33,7 @@ from .arrangement import (
     epoly_V,
     weak_comb_data,
 )
-from .errors import DegreeTooSmall, NegativeMultiplicity, SumRuleViolation
+from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
 from .localhodge import OrdinarySing, link_epoly, local_hodge_table
 from .repring import HodgeTable, ReprClass
 
@@ -346,7 +346,7 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
     h2x = h1f = h2f = px = pcf = None
     if h3 is not None:
         if h3.d != d:
-            raise ValueError("H3 data modulus differs from arrangement degree")
+            raise MilnorHodgeError(f"H3 data modulus {h3.d} differs from arrangement degree {d}")
         loc = milnor_sum_table(w)
         h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
         h2x = h2x.relabel("H2_0(X)")

@@ -17,16 +17,16 @@ same number of times.
 The pass adds classes instead of multiplying values modulo q: the class of
 Q at a point is the sum over the lines of dlog_g(line value) mod d, read
 from one cached table whose entry at 0 is a sentinel larger than any sum of
-d classes.  On the chart x = 1 a line with c != 0 has the value
-c (z + u(y)) at (1, y, z), where u(y) = (a + b y) / c, so along row y its
-classes are class(c) plus the contiguous window T2[u(y) : u(y) + q] of the
+d classes.  P^2(F_q) is the point (0 : 0 : 1) plus the q + 1 lines through
+it, the rows (1, r, z) for r < q and (0, 1, z).  On the row (s, t, z) a line
+with c != 0 has the value c (z + u), where u = (a s + b t) / c, so along the
+row its classes are class(c) plus the contiguous window T2[u : u + q] of the
 doubled table: a row is a sum of window copies, and the classes of the c's
-are added once, as a rotation of the chart's folded histogram.  A line with
-c = 0 modulo q is constant along each row and adds one value per row.  The
-chart is summed in blocks of rows holding about 2^15 points into a reused
-buffer, and each block goes into a histogram of O(d^2) sums, so memory
-stays bounded as q grows.  Only the brute-force oracle multiplies values
-modulo q.
+are added once, as a rotation of the folded histogram.  A line with c = 0
+modulo q is constant along each row and adds one value per row.  The rows
+are summed in blocks holding about 2^15 points into a reused buffer, and
+every block goes into one histogram of O(d^2) sums, so memory stays bounded
+as q grows.  Only the brute-force oracle multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the lines stay
 distinct and nonzero and the intersection data are those over Z.  That is
@@ -153,27 +153,25 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
     return doubled
 
 
-def _primes_at_least(start: int):
-    n = max(start, 2)
-    while True:
-        if _is_prime(n):
-            yield n
-        n += 1
-
-
 # ---------------------------------------------------------------------------
 # reduction of the arrangement modulo q
 
 
-def _lines_mod_q(arr: LineArrangement, q: int, field: PrimeField) -> list[tuple[int, int, int]]:
-    """The forms of ``arr`` reduced modulo q; BadPrime unless the reduction is good."""
+def _lines_mod_q(arr: LineArrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
+    """F_q and the forms of ``arr`` reduced modulo q.
+
+    BadPrime unless q is a prime = 1 (mod d) at which the reduction is good.
+    """
+    if (q - 1) % arr.d != 0:
+        raise BadPrime(f"{q} is not 1 modulo {arr.d}")
+    field = PrimeField.make(q)
     if arr.bad_modulus % q == 0:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
     if arr.builtin == "ceva":
         w = pow(field.g, (q - 1) // 3, q)
         roots = [-pow(w, j, q) % q for j in range(3)]
-        return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
-    return [(line.a % q, line.b % q, line.c % q) for line in arr.lines]
+        return field, [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
+    return field, [(line.a % q, line.b % q, line.c % q) for line in arr.lines]
 
 
 def good_primes(
@@ -188,17 +186,14 @@ def good_primes(
     if count == 0:
         return []
     d, bad = arr.d, arr.bad_modulus
+    start = max(min_q, 2)
     found: list[PrimeField] = []
-    for q in _primes_at_least(min_q):
-        if q > bound:
-            raise NotEnoughPrimes(
-                f"found {len(found)} good primes below {bound}, needed {count}"
-            )
-        if (q - 1) % d != 0 or bad % q == 0:
-            continue
-        found.append(PrimeField.make(q))
-        if len(found) == count:
-            return found
+    for q in range(start + (1 - start) % d, bound + 1, d):
+        if _is_prime(q) and bad % q:
+            found.append(PrimeField.make(q))
+            if len(found) == count:
+                return found
+    raise NotEnoughPrimes(f"found {len(found)} good primes below {bound}, needed {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +245,8 @@ def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray,
     return np.bincount(classes, minlength=d), int(vals.size - nz.size)
 
 
-# Points of the chart x = 1 summed per block: with int32 classes a block's
-# two buffers take about 0.25 MiB, whatever q is.
+# Points of P^2 summed per block: with int32 classes a block's two buffers
+# take about 0.25 MiB, whatever q is.
 _BLOCK_POINTS = 1 << 15
 
 
@@ -261,69 +256,59 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     A projective point with Q-value v != 0 contributes its whole punctured
     cone line, q - 1 affine points all lying in the class of v; a projective
     zero of Q contributes q - 1 points with Q = 0, and the origin one more.
-    The class of Q at a point is the sum of its lines' classes.  On the chart
-    x = 1 each row is a sum of contiguous windows of the class table, one
-    per line, added in blocks of about ``_BLOCK_POINTS`` points, with the
-    classes of the lines' z-coefficients applied once as a shift; values are
-    never multiplied modulo q.
+    The q + 1 rows through (0 : 0 : 1) are summed as windows of the class
+    table in blocks of about ``_BLOCK_POINTS`` points (see the module
+    docstring); the point (0 : 0 : 1) itself is added by hand.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     d = arr.d
-    if (q - 1) % d != 0:
-        raise BadPrime(f"{q} is not 1 modulo {d}")
-    field = PrimeField.make(q)
-    lines = _lines_mod_q(arr, q, field)
-
+    field, lines = _lines_mod_q(arr, q)
     table = _class_table(q, field.g, d)
-    zero = d * (d - 1) + 1
-    span = np.arange(q, dtype=np.intp)
-    # At (1, y, z) a line with c != 0 has value c (z + u(y)), u = (a + b y) / c,
-    # so its classes along row y are class(c) + T2[u(y) : u(y) + q]; a line
-    # with c = 0 has the class T[a + b y] all along the row.
+    zero = int(table[0])
+    # row r is (s, t, z) with (s, t) = (1, r) for r < q and (0, 1) for r = q;
+    # a line with c != 0 takes class(c) + T2[u : u + q] there, u = (a s + b t) / c
+    s, t = np.ones(q + 1, dtype=np.intp), np.arange(q + 1, dtype=np.intp)
+    s[q], t[q] = 0, 1
     starts = []
-    flat = np.zeros(q, dtype=table.dtype)
+    flat = np.zeros(q + 1, dtype=table.dtype)
     shift = 0
     for a, b, c in lines:
         if c:
             inv = pow(c, q - 2, q)
-            starts.append((a * inv % q + (b * inv % q) * span) % q)
+            starts.append((a * inv % q * s + b * inv % q * t) % q)
             shift += int(table[c])
         else:
-            flat += table[(a + b * span) % q]
+            flat += table[(a * s + b * t) % q]
     window = sliding_window_view(table, q)
     rows = max(1, _BLOCK_POINTS // q)
     acc = np.empty((rows, q), dtype=table.dtype)
-
-    def histogram(sums: np.ndarray) -> np.ndarray:
-        """Counts of ``sums`` per class residue mod d, then the count of zeros of Q."""
-        np.minimum(sums, zero, out=sums)
-        hist = np.bincount(sums.ravel(), minlength=zero + 1)
-        # a sum below Z is a class sum, so it lies in the class of its residue mod d
-        folded = np.zeros(d * d, dtype=np.int64)
-        folded[:zero] = hist[:zero]
-        return np.append(folded.reshape(d, d).sum(axis=0), hist[zero])
-
-    chart = np.zeros(d + 1, dtype=np.int64)
-    for y0 in range(0, q, rows):
-        out = acc[: min(rows, q - y0)]
-        out[...] = flat[y0 : y0 + rows, None]
+    hist = np.zeros(zero + 1, dtype=np.int64)
+    for r0 in range(0, q + 1, rows):
+        out = acc[: min(rows, q + 1 - r0)]
+        out[...] = flat[r0 : r0 + rows, None]
         for u in starts:
-            out += window[u[y0 : y0 + rows]]
-        chart += histogram(out)
-    chart[:d] = np.roll(chart[:d], shift)
+            out += window[u[r0 : r0 + rows]]
+        np.minimum(out, zero, out=out)
+        hist += np.bincount(out.ravel(), minlength=zero + 1)
 
-    # the row (0, 1, z) and the point (0, 0, 1), O(d q) entries gathered directly
-    _, b, c = (np.array(col, dtype=np.intp)[:, None] for col in zip(*lines))
-    rest = np.append(table[(b + c * span) % q].sum(axis=0), table[c].sum())
-    counts = chart + histogram(rest)
+    # a sum below Z is a class sum, so it lies in the class of its residue mod d
+    folded = np.zeros(d * d, dtype=np.int64)
+    folded[:zero] = hist[:zero]
+    classes = np.roll(folded.reshape(d, d).sum(axis=0), shift)
+    zeros = int(hist[zero])
+    # the point (0 : 0 : 1), where every line takes its value c
+    if any(c == 0 for _, _, c in lines):
+        zeros += 1
+    else:
+        classes[shift % d] += 1
     return CountTable(
         q=q,
         g=field.g,
         d=d,
-        class_counts=tuple(int(n) * (q - 1) for n in counts[:d]),
-        zero_count=int(counts[d]) * (q - 1) + 1,
+        class_counts=tuple(int(n) * (q - 1) for n in classes),
+        zero_count=zeros * (q - 1) + 1,
     )
 
 
@@ -331,18 +316,15 @@ def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
     """O(q^3) oracle: enumerate every affine triple.  Test path only."""
     import numpy as np
 
-    d = arr.d
-    if (q - 1) % d != 0:
-        raise BadPrime(f"{q} is not 1 modulo {d}")
-    field = PrimeField.make(q)
+    field, lines = _lines_mod_q(arr, q)
     rng = np.arange(q, dtype=np.int64)
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-    vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
-    class_counts, zero_count = _aggregate(vals, field, d)
+    vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
+    class_counts, zero_count = _aggregate(vals, field, arr.d)
     return CountTable(
         q=q,
         g=field.g,
-        d=d,
+        d=arr.d,
         class_counts=tuple(int(c) for c in class_counts),
         zero_count=zero_count,
     )

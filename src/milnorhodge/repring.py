@@ -229,19 +229,27 @@ class HodgeTable:
 
     @classmethod
     def from_json_dict(cls, data: Mapping, label: str = "") -> "HodgeTable":
-        d = int(data["d"])
+        """Inverse of ``to_json_dict``; TypeError unless d, p, q and mult hold JSON integers."""
+        d = _json_int(data["d"])
         entries: dict[_Key, ReprClass] = {}
         for item in data["entries"]:
-            key = (int(item["p"]), int(item["q"]))
+            key = (_json_int(item["p"]), _json_int(item["q"]))
             if key in entries:
                 raise ValueError("duplicate (p, q) entry in table JSON")
-            entries[key] = ReprClass(d, tuple(int(v) for v in item["mult"]))
+            entries[key] = ReprClass(d, tuple(_json_int(v) for v in item["mult"]))
         return cls(d, entries, label)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): {list(r.mult)}" for (p, q), r in self.items())
         tag = f" {self.label!r}" if self.label else ""
         return f"<HodgeTable d={self.d}{tag} {{{body}}}>"
+
+
+def _json_int(value) -> int:
+    # bool is a subclass of int, and int() accepts 9.0 and truncates 2.7 to 2
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,47 @@ def test_h3_json_without_entries_is_parse_error(capsys, tmp_path):
     assert json.loads(out)["error"] == "parse_error"
 
 
+def _ceva_h3_with(tmp_path, edit) -> Path:
+    data = json.loads((DATA / "ceva_h3x.json").read_text())
+    edit(data)
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data["entries"][0]["mult"].__setitem__(3, 2.7),
+        lambda data: data.update(d=9.0),
+    ],
+    ids=["float-mult", "float-d"],
+)
+def test_h3_json_with_non_integer_values_is_parse_error(capsys, tmp_path, edit):
+    # int() would truncate 2.7 to 2 and accept 9.0, and h2f would then pass
+    path = _ceva_h3_with(tmp_path, edit)
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_h3_degree_mismatch_is_json_error(capsys):
+    h3 = str(DATA / "ceva_h3x.json")  # d = 9 against the boolean arrangement's 3
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "boolean.txt"), "--h3x", h3)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "error"
+    assert "differs from arrangement degree" in payload["message"]
+
+
+def test_check_h3_degree_mismatch_fails_assembly_check(capsys):
+    h3 = str(DATA / "ceva_h3x.json")
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--h3x", h3)
+    assert code == 1
+    failed = _failed_details(out)
+    assert failed["assembly"].startswith("error: H3 data modulus 9 differs")
+
+
 def test_repeated_prime_is_bad_prime(capsys):
     code, out = run_cli(
         capsys,
@@ -360,6 +401,15 @@ def test_check_reports_first_differing_count(capsys, monkeypatch):
     details = _failed_details(out)
     assert details["count_oracle_q7"] == f"class_counts[1]: fast {fast} vs brute force {fast + 1}"
     assert set(details) == {"count_oracle_q7", "count_oracle_q13"}
+
+
+def test_golden_files_match_the_benchmark_copies():
+    # the cli-cold benchmark workload checks stdout against bench/golden
+    bench = Path(__file__).parent.parent / "bench" / "golden"
+    names = sorted(p.name for p in GOLDEN.iterdir())
+    assert names
+    for name in names:
+        assert (bench / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_pretty_mode_is_human_readable(capsys):

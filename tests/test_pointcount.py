@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,6 +172,36 @@ def test_good_primes_negative_count_rejected():
         good_primes(ceva_arrangement(), -1)
 
 
+def _good_primes_by_scan(arr, min_q: int, bound: int) -> list[int]:
+    return [
+        q
+        for q in range(min_q, bound + 1)
+        if q > 1
+        and all(q % f for f in range(2, math.isqrt(q) + 1))
+        and (q - 1) % arr.d == 0
+        and arr.bad_modulus % q
+    ]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [boolean_arrangement(), ceva_arrangement()]
+    + [random_rational_arrangement(random.Random(40 + d), d) for d in range(1, 13)],
+    ids=["boolean", "ceva"] + [f"random{d}" for d in range(1, 13)],
+)
+def test_good_primes_equal_a_plain_scan(arr):
+    for min_q in (-4, 0, 1, 2, 3, 20, 50, 102, 311):
+        for bound in (10, 97, 400, 1200):
+            expected = _good_primes_by_scan(arr, min_q, bound)
+            for count in (1, 4, 9):
+                if len(expected) >= count:
+                    found = good_primes(arr, count, min_q=min_q, bound=bound)
+                    assert [f.p for f in found] == expected[:count], (min_q, bound, count)
+                else:
+                    with pytest.raises(NotEnoughPrimes):
+                        good_primes(arr, count, min_q=min_q, bound=bound)
+
+
 def test_prime_field_generators():
     assert PrimeField.make(7).g == 3
     assert PrimeField.make(13).g == 2
@@ -228,10 +259,10 @@ def test_twisted_counts_equal_explicit_fiber_counts():
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
         d = arr.d
-        field = PrimeField.make(q)
+        field, lines = _lines_mod_q(arr, q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
         tw = twisted_counts(count_classes(arr, q), d)
         for j in range(d):
             s = pow(field.g, j, q)
@@ -245,10 +276,10 @@ def test_untwisted_count_is_fiber_cardinality():
     from milnorhodge.pointcount import _lines_mod_q, _q_values
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
-        field = PrimeField.make(q)
+        field, lines = _lines_mod_q(arr, q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, _lines_mod_q(arr, q, field), q, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
         direct = int((vals == 1).sum())
         table = count_classes(arr, q)
         assert twisted_counts(table, arr.d)[0] == direct
@@ -260,8 +291,7 @@ def _product_route(arr, q: int) -> CountTable:
 
     from milnorhodge.pointcount import _aggregate, _lines_mod_q, _q_values
 
-    field = PrimeField.make(q)
-    lines = _lines_mod_q(arr, q, field)
+    field, lines = _lines_mod_q(arr, q)
     span = np.arange(q, dtype=np.int64)
     ys, zs = np.meshgrid(span, span, indexing="ij")
     one, zero = np.int64(1), np.int64(0)
@@ -284,7 +314,7 @@ def test_blocked_count_equals_product_route_over_many_blocks(arr, min_q):
 
     q = good_primes(arr, 1, min_q=min_q)[0].p
     rows = _BLOCK_POINTS // q
-    assert q >= 3 * rows and q % rows  # three or more blocks, the last one partial
+    assert q >= 3 * rows and (q + 1) % rows  # q + 1 rows: three or more blocks, the last one partial
     assert count_classes(arr, q) == _product_route(arr, q)
 
 

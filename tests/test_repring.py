@@ -214,6 +214,20 @@ def test_table_json_roundtrip():
         assert HodgeTable.from_json_dict(json.loads(blob)) == t
 
 
+@pytest.mark.parametrize("field", ["d", "p", "q", "mult"])
+@pytest.mark.parametrize("bad", [9.0, 2.7, "3", True])
+def test_table_json_rejects_non_integers(field, bad):
+    data = {"d": 3, "entries": [{"p": 1, "q": 0, "mult": [0, 1, 0]}]}
+    if field == "d":
+        data["d"] = bad
+    elif field == "mult":
+        data["entries"][0]["mult"][1] = bad
+    else:
+        data["entries"][0][field] = bad
+    with pytest.raises(TypeError):
+        HodgeTable.from_json_dict(data)
+
+
 def test_table_json_shape():
     t = HodgeTable(3, {(1, 0): ReprClass.character(3, 1)})
     assert t.to_json_dict() == {"d": 3, "entries": [{"p": 1, "q": 0, "mult": [0, 1, 0]}]}
