@@ -356,11 +356,5 @@ def epoly_V(w: WeakCombData) -> HodgeTable:
     them, so E(V) = d*(uv + 1) - sum_p (m_p - 1); the group acts trivially.
     """
     d = w.d
-    return HodgeTable(
-        d,
-        {
-            (1, 1): ReprClass.trivial(d, w.d),
-            (0, 0): ReprClass.trivial(d, w.d - w.sum_mult_minus_one()),
-        },
-        label="E(V)",
-    )
+    points = ReprClass.trivial(d, d - w.sum_mult_minus_one())
+    return HodgeTable(d, {(1, 1): ReprClass.trivial(d, d), (0, 0): points})

@@ -80,7 +80,7 @@ def _fermat_table(d: int) -> HodgeTable:
         (1, 1): ReprClass(d, tuple(h11)),
         (0, 2): ReprClass(d, tuple(h02)),
     }
-    return HodgeTable(d, entries, label=f"H2_0(Fermat_{d})")
+    return HodgeTable(d, entries)
 
 
 def fermat_surface_table(d: int) -> HodgeTable:
@@ -117,7 +117,7 @@ class SurfaceH3Data:
 
     @classmethod
     def zero(cls, d: int) -> "SurfaceH3Data":
-        return cls(HodgeTable(d, {}, label="H3(X)"))
+        return cls(HodgeTable(d))
 
     @property
     def d(self) -> int:
@@ -131,10 +131,10 @@ class SurfaceH3Data:
 def milnor_sum_table(w: WeakCombData) -> HodgeTable:
     """Sum of the local Milnor-fiber tables over all singular points."""
     d = w.d
-    out = HodgeTable(d, {}, "sum_s H2(F_s)")
+    out = HodgeTable(d)
     for k, count in w.m:
-        out = out + local_hodge_table(OrdinarySing(k, d)).as_hodge_table().scale(count)
-    return out.relabel("sum_s H2(F_s)")
+        out = out + local_hodge_table(OrdinarySing(k, d)).table.scale(count)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def primitive_h2_weight1(loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
         (1, 0): loc.entry(2, 1) - h3.table.entry(1, 2).involution(),
         (0, 1): loc.entry(1, 2) - h3.table.entry(2, 1).involution(),
     }
-    return _require_effective(HodgeTable(d, entries, "H2_0(X) weight 1"), "weight-1 part of H2_0(X)")
+    return _require_effective(HodgeTable(d, entries), "weight-1 part of H2_0(X)")
 
 
 def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
@@ -187,7 +187,7 @@ def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data)
             - loc.entry(p, q + 1)
             - loc.entry(p + 1, q)
         )
-    return _require_effective(HodgeTable(d, entries, "H2_0(X) weight 2"), "weight-2 part of H2_0(X)")
+    return _require_effective(HodgeTable(d, entries), "weight-2 part of H2_0(X)")
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +203,16 @@ def fiber_tables(h2x: HodgeTable, h3x: HodgeTable) -> tuple[HodgeTable, HodgeTab
     if h2x.d != h3x.d:
         raise ValueError("mixed moduli")
 
-    def pull(src: HodgeTable, label: str) -> HodgeTable:
-        entries = {(2 - b, 2 - a): r for (a, b), r in src.entries.items()}
-        return HodgeTable(src.d, entries, label)
+    def pull(src: HodgeTable) -> HodgeTable:
+        return HodgeTable(src.d, {(2 - b, 2 - a): r for (a, b), r in src.entries.items()})
 
-    return pull(h3x, "H1(F) nontrivial part"), pull(h2x, "H2(F) nontrivial part")
+    return pull(h3x), pull(h2x)
 
 
 def trivial_tables(inv: CombInvariants, d: int) -> dict[int, HodgeTable]:
     """Trivial-character parts: H^j(F)_1 is b_j(M) copies of type (j, j)."""
     betti = {0: 1, 1: inv.b1M, 2: inv.b2M}
-    return {
-        j: HodgeTable(d, {(j, j): ReprClass.trivial(d, b)}, label=f"H{j}(F) trivial part")
-        for j, b in betti.items()
-    }
+    return {j: HodgeTable(d, {(j, j): ReprClass.trivial(d, b)}) for j, b in betti.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +327,7 @@ class AssemblyReport:
 def _p2(d: int) -> HodgeTable:
     """1 + uv + (uv)^2, the ambient part of P(X) for a surface in P^3."""
     triv = ReprClass.trivial(d)
-    return HodgeTable(d, {(0, 0): triv, (1, 1): triv, (2, 2): triv}, label="P_2")
+    return HodgeTable(d, {(0, 0): triv, (1, 1): triv, (2, 2): triv})
 
 
 def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> AssemblyReport:
@@ -349,10 +345,9 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
             raise MilnorHodgeError(f"H3 data modulus {h3.d} differs from arrangement degree {d}")
         loc = milnor_sum_table(w)
         h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
-        h2x = h2x.relabel("H2_0(X)")
         h1f, h2f = fiber_tables(h2x, h3.table)
-        px = (_p2(d) + h2x - h3.table).relabel("P(X)")
-        pcf = (px - pv).relabel("P_c(F)")
+        px = _p2(d) + h2x - h3.table
+        pcf = px - pv
 
     report = AssemblyReport(
         arrangement=arr,

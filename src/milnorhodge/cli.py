@@ -46,7 +46,7 @@ def _load_arrangement(path: str) -> LineArrangement:
 def _load_h3(path: str) -> assembly.SurfaceH3Data:
     text = _read_text(path)
     try:
-        return assembly.SurfaceH3Data(HodgeTable.from_json_dict(json.loads(text), label="H3(X)"))
+        return assembly.SurfaceH3Data(HodgeTable.from_json_dict(json.loads(text)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
@@ -55,11 +55,8 @@ def _load_h3(path: str) -> assembly.SurfaceH3Data:
         raise MilnorHodgeError(str(exc)) from exc
 
 
-def _emit(payload: dict, pretty: bool, pretty_text: str | None = None) -> None:
-    if pretty and pretty_text is not None:
-        sys.stdout.write(pretty_text)
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+def _emit(payload: dict, pretty: bool, pretty_text: str) -> None:
+    sys.stdout.write(pretty_text if pretty else json.dumps(payload, indent=2) + "\n")
 
 
 def _table_lines(table: HodgeTable) -> list[str]:
@@ -127,17 +124,17 @@ def _cmd_combinatorics(args) -> int:
 
 def _cmd_local_hodge(args) -> int:
     sing = OrdinarySing(args.k, args.d)
-    table = local_hodge_table(sing)
+    table = local_hodge_table(sing).table
     payload = {
         "k": sing.k,
         "d": sing.d,
-        "total_dimension": table.total(),
-        "table": table.as_hodge_table().to_json_dict(),
+        "total_dimension": table.total_dim(),
+        "table": table.to_json_dict(),
         "spectrum": [str(e) for e in local_spectrum(sing)],
     }
     text = "\n".join(
-        [f"local Hodge table for k={sing.k}, d={sing.d} (dim {table.total()})"]
-        + _table_lines(table.as_hodge_table())
+        [f"local Hodge table for k={sing.k}, d={sing.d} (dim {table.total_dim()})"]
+        + _table_lines(table)
     ) + "\n"
     _emit(payload, args.pretty, text)
     return 0
@@ -277,7 +274,7 @@ def _cmd_check(args) -> int:
     )
     for k, _ in w.m:
         sing = OrdinarySing(k, w.d)
-        total = local_hodge_table(sing).total()
+        total = local_hodge_table(sing).table.total_dim()
         ok = total == sing.milnor_number
         detail = "" if ok else f"table total {total} vs Milnor number {sing.milnor_number}"
         checks.append(assembly.CheckResult(f"local_dimension_law_k{k}", ok, detail))
@@ -340,8 +337,11 @@ def _cmd_check(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for counting")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized check suites")
+    counting = argparse.ArgumentParser(add_help=False, parents=[common])
+    counting.add_argument("--arrangement", required=True)
+    counting.add_argument("--target", choices=("fiber", "complement"), required=True)
+    counting.add_argument("--primes", required=True, help="comma-separated primes, all 1 mod d")
+    counting.add_argument("--threads", type=int, default=1, help="worker threads for counting")
 
     parser = argparse.ArgumentParser(
         prog="milnorhodge",
@@ -371,24 +371,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h3x", required=True, help="JSON file with H3(X) character data")
     p.set_defaults(func=_cmd_h2f)
 
-    p = sub.add_parser("count", parents=[common], help="point counts over prime fields")
-    p.add_argument("--arrangement", required=True)
-    p.add_argument("--target", choices=("fiber", "complement"), required=True)
-    p.add_argument("--primes", required=True, help="comma-separated primes, all 1 mod d")
+    p = sub.add_parser("count", parents=[counting], help="point counts over prime fields")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser(
-        "hodge-from-counts", parents=[common], help="extract the Hodge-Deligne polynomial"
+        "hodge-from-counts", parents=[counting], help="extract the Hodge-Deligne polynomial"
     )
-    p.add_argument("--arrangement", required=True)
-    p.add_argument("--target", choices=("fiber", "complement"), required=True)
-    p.add_argument("--primes", required=True)
     p.set_defaults(func=_cmd_hodge_from_counts)
 
     p = sub.add_parser("check", parents=[common], help="run the full consistency suite")
     p.add_argument("--arrangement", required=True)
     p.add_argument("--h3x", default=None)
     p.add_argument("--primes", default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random arrangement checks")
     p.set_defaults(func=_cmd_check)
 
     return parser

@@ -103,21 +103,10 @@ def milnor_basis(sing: OrdinarySing) -> list[MonomialDatum]:
 
 @dataclass(frozen=True)
 class LocalHodgeTable:
-    """Census of the monomial basis by (p, q, character exponent)."""
+    """Census of the monomial basis by (p, q) and character: H^2 of the local Milnor fiber."""
 
     sing: OrdinarySing
-    counts: tuple[tuple[tuple[int, int, int], int], ...]  # ((p, q, char), mult)
-
-    def total(self) -> int:
-        return sum(n for _, n in self.counts)
-
-    def as_hodge_table(self) -> HodgeTable:
-        d = self.sing.d
-        by_pq: dict[tuple[int, int], list[int]] = {}
-        for (p, q, char), n in self.counts:
-            by_pq.setdefault((p, q), [0] * d)[char] += n
-        entries = {pq: ReprClass(d, tuple(m)) for pq, m in by_pq.items()}
-        return HodgeTable(d, entries, label=f"H2(F_s) k={self.sing.k} d={d}")
+    table: HodgeTable
 
 
 def _pairs_upto(k: int, x: int) -> int:
@@ -142,20 +131,18 @@ def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:
     the counts between these edges are differences of ``_pairs_upto``.
     """
     k, d = sing.k, sing.d
-    census: dict[tuple[int, int, int], int] = {}
+    mult = {pq: [0] * d for pq in _WINDOWS}
     for t in range(1, d):
         whole, rem = divmod(t * k, d)
         edges = [k - 1 - whole, k - whole - (rem > 0), 2 * k - 1 - whole, 2 * k - whole - (rem > 0)]
         cumulative = [_pairs_upto(k, x) for x in edges] + [(k - 1) ** 2]
         prev = 0
-        for (p, q), upto in zip(_WINDOWS, cumulative):
-            if upto > prev:
-                census[(p, q, d - t)] = upto - prev
+        for pq, upto in zip(_WINDOWS, cumulative):
+            mult[pq][d - t] = upto - prev
             prev = upto
-    counts = tuple(sorted(census.items()))
-    table = LocalHodgeTable(sing, counts)
-    assert table.total() == sing.milnor_number
-    return table
+    table = HodgeTable(d, {pq: ReprClass(d, tuple(m)) for pq, m in mult.items()})
+    assert table.total_dim() == sing.milnor_number
+    return LocalHodgeTable(sing, table)
 
 
 def local_spectrum(sing: OrdinarySing) -> tuple[Fraction, ...]:
@@ -181,23 +168,18 @@ def link_hodge_tables(sing: OrdinarySing) -> dict[int, HodgeTable]:
     validated by the global localization identity in the assembly checks.
     """
     d = sing.d
-    loc = local_hodge_table(sing).as_hodge_table()
-    h1 = HodgeTable(d, {(1, 0): loc.entry(2, 1), (0, 1): loc.entry(1, 2)}, label="H1(K_s)")
-    h2 = HodgeTable(
-        d,
-        {(2, 1): h1.entry(0, 1).involution(), (1, 2): h1.entry(1, 0).involution()},
-        label="H2(K_s)",
-    )
+    loc = local_hodge_table(sing).table
+    h1 = HodgeTable(d, {(1, 0): loc.entry(2, 1), (0, 1): loc.entry(1, 2)})
+    h2 = HodgeTable(d, {(2, 1): h1.entry(0, 1).involution(), (1, 2): h1.entry(1, 0).involution()})
     return {
-        0: HodgeTable(d, {(0, 0): ReprClass.trivial(d)}, label="H0(K_s)"),
+        0: HodgeTable(d, {(0, 0): ReprClass.trivial(d)}),
         1: h1,
         2: h2,
-        3: HodgeTable(d, {(2, 2): ReprClass.trivial(d)}, label="H3(K_s)"),
+        3: HodgeTable(d, {(2, 2): ReprClass.trivial(d)}),
     }
 
 
 def link_epoly(sing: OrdinarySing) -> HodgeTable:
     """Euler-alternating Hodge-Deligne polynomial of the link."""
     tables = link_hodge_tables(sing)
-    out = tables[0] - tables[1] + tables[2] - tables[3]
-    return out.relabel(f"P(K_s) k={sing.k} d={sing.d}")
+    return tables[0] - tables[1] + tables[2] - tables[3]

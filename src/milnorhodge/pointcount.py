@@ -482,4 +482,4 @@ def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
             entries[(i, i)] = decode_characters(traces)
         except DecodeError as exc:
             raise DecodeError(f"coefficient of t^{i}: {exc}") from exc
-    return HodgeTable(d, entries, label="E_c from point counts")
+    return HodgeTable(d, entries)

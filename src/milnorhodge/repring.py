@@ -5,7 +5,7 @@ representations are the one-dimensional characters ``C_{lam^k}``, so a virtual
 representation is a length-``d`` integer vector of multiplicities
 (:class:`ReprClass`).  Hodge data lives in :class:`HodgeTable`: a finitely
 supported map from a bidegree ``(p, q)`` to a :class:`ReprClass`.  The same
-container serves two purposes, told apart only by its label:
+container serves two purposes:
 
 * the Hodge pieces of a single mixed Hodge structure, and
 * an Euler-alternating Hodge-Deligne polynomial, whose ``(p, q)``
@@ -50,7 +50,7 @@ class ReprClass:
             raise ValueError("modulus must be >= 1")
         if len(self.mult) != self.d:
             raise ValueError("multiplicity vector must have length d")
-        object.__setattr__(self, "mult", tuple(int(m) for m in self.mult))
+        object.__setattr__(self, "mult", tuple(map(operator.index, self.mult)))
 
     # -- constructors
 
@@ -122,12 +122,12 @@ class HodgeTable:
     """Finitely supported map (p, q) -> ReprClass over a fixed modulus d.
 
     Entries whose class is zero are dropped.  Equality compares modulus and
-    entries; the label is descriptive metadata only.
+    entries.
     """
 
-    __slots__ = ("d", "entries", "label")
+    __slots__ = ("d", "entries")
 
-    def __init__(self, d: int, entries: Mapping[_Key, ReprClass] | None = None, label: str = ""):
+    def __init__(self, d: int, entries: Mapping[_Key, ReprClass] | None = None):
         if d < 1:
             raise ValueError("modulus must be >= 1")
         table: dict[_Key, ReprClass] = {}
@@ -135,10 +135,9 @@ class HodgeTable:
             if r.d != d:
                 raise ValueError("entry modulus differs from table modulus")
             if not r.is_zero():
-                table[(int(p), int(q))] = r
+                table[(operator.index(p), operator.index(q))] = r
         self.d = d
         self.entries = table
-        self.label = label
 
     # -- access
 
@@ -182,7 +181,7 @@ class HodgeTable:
         out = dict(self.entries)
         for key, r in other.entries.items():
             out[key] = out.get(key, ReprClass.zero(self.d)) + r
-        return HodgeTable(self.d, out, self.label)
+        return HodgeTable(self.d, out)
 
     def __sub__(self, other: "HodgeTable") -> "HodgeTable":
         if self.d != other.d:
@@ -190,13 +189,10 @@ class HodgeTable:
         out = dict(self.entries)
         for key, r in other.entries.items():
             out[key] = out.get(key, ReprClass.zero(self.d)) - r
-        return HodgeTable(self.d, out, self.label)
+        return HodgeTable(self.d, out)
 
     def scale(self, n: int) -> "HodgeTable":
-        return HodgeTable(self.d, {k: n * r for k, r in self.entries.items()}, self.label)
-
-    def relabel(self, label: str) -> "HodgeTable":
-        return HodgeTable(self.d, self.entries, label)
+        return HodgeTable(self.d, {k: n * r for k, r in self.entries.items()})
 
     # -- the standard transforms
 
@@ -207,7 +203,7 @@ class HodgeTable:
         n-dimensional variety; the caller is responsible for smoothness.
         """
         out = {(n - p, n - q): r.involution() for (p, q), r in self.entries.items()}
-        return HodgeTable(self.d, out, self.label)
+        return HodgeTable(self.d, out)
 
     def specialize_weight(self) -> dict[int, ReprClass]:
         """Collapse u, v to one variable: weight w collects all p + q = w."""
@@ -228,7 +224,7 @@ class HodgeTable:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping, label: str = "") -> "HodgeTable":
+    def from_json_dict(cls, data: Mapping) -> "HodgeTable":
         """Inverse of ``to_json_dict``; TypeError unless d, p, q and mult hold JSON integers."""
         d = _json_int(data["d"])
         entries: dict[_Key, ReprClass] = {}
@@ -237,16 +233,15 @@ class HodgeTable:
             if key in entries:
                 raise ValueError("duplicate (p, q) entry in table JSON")
             entries[key] = ReprClass(d, tuple(_json_int(v) for v in item["mult"]))
-        return cls(d, entries, label)
+        return cls(d, entries)
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p},{q}): {list(r.mult)}" for (p, q), r in self.items())
-        tag = f" {self.label!r}" if self.label else ""
-        return f"<HodgeTable d={self.d}{tag} {{{body}}}>"
+        return f"<HodgeTable d={self.d} {{{body}}}>"
 
 
 def _json_int(value) -> int:
-    # bool is a subclass of int, and int() accepts 9.0 and truncates 2.7 to 2
+    # a JSON true is a Python bool, which operator.index accepts as 1
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value

@@ -46,7 +46,6 @@ def ceva_h3(weight3_mult: int = 2) -> SurfaceH3Data:
                 (2, 1): ReprClass.character(9, 6, weight3_mult),
                 (1, 2): ReprClass.character(9, 3, weight3_mult),
             },
-            label="H3(X)",
         )
     )
 
@@ -54,4 +53,4 @@ def ceva_h3(weight3_mult: int = 2) -> SurfaceH3Data:
 @pytest.fixture
 def h3_ceva() -> SurfaceH3Data:
     loaded = json.loads((DATA / "ceva_h3x.json").read_text())
-    return SurfaceH3Data(HodgeTable.from_json_dict(loaded, label="H3(X)"))
+    return SurfaceH3Data(HodgeTable.from_json_dict(loaded))

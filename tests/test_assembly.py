@@ -96,7 +96,7 @@ def _ceva_locals():
 
 
 def _ceva_local_sum():
-    return local_hodge_table(OrdinarySing(3, 9)).as_hodge_table().scale(12)
+    return local_hodge_table(OrdinarySing(3, 9)).table.scale(12)
 
 
 def test_weight1_ceva():
@@ -114,7 +114,7 @@ def test_weight1_zero_inputs_give_zero_table():
 
 def test_weight1_single_node_no_weight3():
     # a (2, 3) point has no weight-3 classes, so nothing survives
-    w1 = primitive_h2_weight1(local_hodge_table(OrdinarySing(2, 3)).as_hodge_table(), SurfaceH3Data.zero(3))
+    w1 = primitive_h2_weight1(local_hodge_table(OrdinarySing(2, 3)).table, SurfaceH3Data.zero(3))
     assert w1.support() == []
 
 
@@ -139,7 +139,7 @@ def test_weight2_smooth_case_returns_fermat():
 
 
 def test_weight_assemblies_reject_mixed_degrees():
-    loc = local_hodge_table(OrdinarySing(2, 3)).as_hodge_table()
+    loc = local_hodge_table(OrdinarySing(2, 3)).table
     with pytest.raises(ValueError):
         primitive_h2_weight1(loc, SurfaceH3Data.zero(5))
     with pytest.raises(ValueError):
@@ -455,5 +455,5 @@ def test_milnor_sum_table_matches_explicit_list():
     total = milnor_sum_table(w)
     explicit = HodgeTable(9, {})
     for t in _ceva_locals():
-        explicit = explicit + t.as_hodge_table()
+        explicit = explicit + t.table
     assert total == explicit

@@ -6,6 +6,7 @@ schema change.
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from milnorhodge.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -368,12 +370,14 @@ def _failed_details(out: str) -> dict[str, str]:
 def test_check_reports_local_dimension_law_numbers(capsys, monkeypatch):
     from milnorhodge import cli
     from milnorhodge.localhodge import LocalHodgeTable
+    from milnorhodge.repring import HodgeTable, ReprClass
 
     real = cli.local_hodge_table
 
     def one_short(sing):
-        (key, n), *rest = real(sing).counts
-        return LocalHodgeTable(sing, ((key, n - 1), *rest))
+        table = real(sing).table
+        key = table.support()[0]
+        return LocalHodgeTable(sing, table - HodgeTable(sing.d, {key: ReprClass.trivial(sing.d)}))
 
     monkeypatch.setattr(cli, "local_hodge_table", one_short)
     code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
@@ -418,6 +422,96 @@ def test_pretty_mode_is_human_readable(capsys):
     assert out.startswith("spectrum, d=9")
 
 
+PRETTY_CASES = [
+    (["local-hodge", "--k", "3", "--d", "9"], "local Hodge table for k=3, d=9 (dim 32)", ["table"]),
+    (["fermat", "--d", "9"], "Fermat surface primitive H2, degree 9", ["table"]),
+    (["spectrum", "--arrangement", str(DATA / "ceva.txt")], "spectrum, d=9, chi(F)=81", []),
+    (
+        ["combinatorics", "--arrangement", str(DATA / "boolean.txt")],
+        "arrangement d=3: {2: 3} multiple points",
+        [],
+    ),
+    (
+        ["h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(DATA / "ceva_h3x.json")],
+        "H1(F), nontrivial characters:",
+        ["H1F", "H2F"],
+    ),
+    (
+        ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", "7,13,19,31"],
+        "counted fiber at primes [7, 13, 19, 31]: fit is polynomial",
+        [],
+    ),
+    (
+        ["hodge-from-counts", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
+         "--primes", "7,13,19,31"],
+        "extracted diagonal Hodge-Deligne polynomial",
+        [],
+    ),
+    (
+        ["check", "--arrangement", str(DATA / "boolean.txt")],
+        "PASS  weak_data_pair_count  (census covers every line pair)",
+        [],
+    ),
+]
+
+
+def _pretty_row(entry: dict) -> tuple[str, ...]:
+    chars = ", ".join(f"{k}:{m}" for k, m in enumerate(entry["mult"]) if m)
+    return str(entry["p"]), str(entry["q"]), str(sum(entry["mult"])), chars
+
+
+@pytest.mark.parametrize("argv, first_line, tables", PRETTY_CASES, ids=[c[0][0] for c in PRETTY_CASES])
+def test_pretty_mode_of_every_command(capsys, argv, first_line, tables):
+    code, text = run_cli(capsys, *argv, "--pretty")
+    assert code == 0
+    assert text.splitlines()[0] == first_line
+    # every printed (p,q) row, its dim and its characters come from the JSON tables of the same run
+    _, out = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    rows = re.findall(r"^  \((-?\d+),(-?\d+)\)  dim +(-?\d+)   (.*)$", text, re.M)
+    expected = [_pretty_row(e) for name in tables for e in payload[name]["entries"]]
+    assert rows == expected
+    assert not tables or rows
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--arrangement", str(DATA / "ceva.txt"), "--threads", "2"],
+        ["local-hodge", "--k", "3", "--d", "9", "--threads", "1"],
+        ["check", "--arrangement", str(DATA / "boolean.txt"), "--threads", "2"],
+        ["fermat", "--d", "9", "--seed", "3"],
+        ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", "7",
+         "--seed", "3"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_options_go_only_to_commands_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_check_reads_seed(capsys, monkeypatch):
+    from milnorhodge import cli
+
+    seeds = []
+    real = cli.random.Random
+    monkeypatch.setattr(cli.random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--seed", "3")
+    assert code == 0 and seeds == [3]
+    # the random sum-rule check reports no detail when it passes, so any seed gives the golden bytes
+    assert out == (GOLDEN / "check_boolean.json").read_text()
+
+
+def _src_env() -> dict[str, str]:
+    """This environment with the checkout's src first on PYTHONPATH, never an installed copy."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_invocation_matches_golden():
     import subprocess
     import sys
@@ -426,6 +520,7 @@ def test_module_invocation_matches_golden():
         [sys.executable, "-m", "milnorhodge.cli", "fermat", "--d", "9"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "fermat_9.json").read_text()
@@ -443,6 +538,6 @@ def test_spectrum_does_not_import_numpy():
         "assert code == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "spectrum_ceva.json").read_text()

@@ -238,3 +238,35 @@ def test_table_drops_zero_entries_and_checks_modulus():
     assert t.support() == []
     with pytest.raises(ValueError):
         HodgeTable(3, {(0, 0): ReprClass.trivial(4)})
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
+def test_multiplicities_must_be_integers(bad):
+    # int() would truncate 2.7 to 2 and 1/2 to 0
+    with pytest.raises(TypeError):
+        ReprClass(3, (0, bad, 0))
+    with pytest.raises(TypeError):
+        ReprClass.trivial(3) * bad
+
+
+@pytest.mark.parametrize("key", [(1.5, 0), (1, 0.0), (Fraction(1), 0)])
+def test_table_keys_must_be_integers(key):
+    with pytest.raises(TypeError):
+        HodgeTable(3, {key: ReprClass.trivial(3)})
+
+
+def test_table_scale_by_non_integer_raises():
+    table = HodgeTable(3, {(1, 1): ReprClass(3, (2, 4, 6))})
+    with pytest.raises(TypeError):
+        table.scale(0.5)
+    assert table.scale(-2) == HodgeTable(3, {(1, 1): ReprClass(3, (-4, -8, -12))})
+
+
+def test_numpy_integers_are_accepted_as_python_ints():
+    import numpy as np
+
+    r = ReprClass(3, tuple(np.array([1, -2, 3], dtype=np.int64)))
+    assert r.mult == (1, -2, 3) and all(type(m) is int for m in r.mult)
+    table = HodgeTable(3, {(np.int64(1), np.int32(0)): r})
+    assert table.support() == [(1, 0)]
+    assert all(type(i) is int for i in table.support()[0])
