@@ -16,7 +16,6 @@ from .arrangement import (
     WeakCombData,
     boolean_arrangement,
     ceva_arrangement,
-    comb_invariants,
     epoly_V,
     intersection_data,
     parse_arrangement,

@@ -7,8 +7,8 @@ downstream Hodge quantity consumes only the resulting weak combinatorial data
 (the line count d and the census m_k of points of multiplicity k).
 
 Arrangements whose natural defining forms are not rational (the Ceva
-arrangement needs cube roots of unity) are provided as named builtins that
-generate their incidence data directly.
+arrangement needs cube roots of unity) are named builtins that generate their
+incidence data directly; ``forms_mod`` reduces every arrangement modulo q.
 
 Each arrangement also carries one integer, its bad modulus N: reduction
 modulo a prime q keeps the lines distinct and nonzero and the intersection
@@ -32,7 +32,6 @@ __all__ = [
     "LineArrangement",
     "IntersectionPoint",
     "WeakCombData",
-    "CombInvariants",
     "BUILTIN_NAMES",
     "parse_arrangement",
     "boolean_arrangement",
@@ -40,8 +39,6 @@ __all__ = [
     "random_rational_arrangement",
     "intersection_data",
     "weak_comb_data",
-    "comb_invariants",
-    "charpoly_value",
     "epoly_V",
 ]
 
@@ -129,6 +126,18 @@ class LineArrangement:
         values.update(math.gcd(*_cross(f, g)) for i, f in enumerate(forms) for g in forms[i + 1 :])
         return math.lcm(*values)
 
+    def forms_mod(self, q: int, g: int) -> list[Triple]:
+        """The defining forms reduced modulo the prime q, g a primitive root.
+
+        Ceva's lines x = w^a y, x = w^b z and y = w^c z reduce with
+        w = g^((q-1)/3), a cube root of unity in F_q whenever 3 divides q - 1.
+        """
+        if self.builtin == "ceva":
+            w = pow(g, (q - 1) // 3, q)
+            roots = [-pow(w, j, q) % q for j in range(3)]
+            return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
+        return [(line.a % q, line.b % q, line.c % q) for line in self.lines]
+
     def describe(self) -> dict:
         if self.builtin:
             return {"kind": "builtin", "builtin": self.builtin, "d": self.d}
@@ -182,16 +191,36 @@ class WeakCombData:
     def sum_mult_minus_one(self) -> int:
         return sum(n * (k - 1) for k, n in self.m)
 
+    # Betti numbers of the projective complement M from the rank-3 Moebius
+    # function: b1 = d - 1 and b2 = sum_p (m_p - 1) - (d - 1); chi(M) is
+    # cross-checked against chi(P^2) - chi(V) with chi(V) = 2d - sum_p (m_p - 1).
 
-@dataclass(frozen=True)
-class CombInvariants:
-    """Betti/Euler invariants of the complement and the Milnor fiber."""
+    @property
+    def b1M(self) -> int:
+        return self.d - 1
 
-    b1M: int
-    b2M: int
-    chiM: int
-    chiF: int
-    charpoly: tuple[int, int, int, int]  # monic cubic, descending coefficients
+    @property
+    def b2M(self) -> int:
+        return self.sum_mult_minus_one() - (self.d - 1)
+
+    @property
+    def chiM(self) -> int:
+        chi = 1 - self.b1M + self.b2M
+        assert chi == 3 - (2 * self.d - self.sum_mult_minus_one())
+        return chi
+
+    @property
+    def chiF(self) -> int:
+        return self.d * self.chiM
+
+    @property
+    def charpoly(self) -> tuple[int, int, int, int]:
+        """Characteristic polynomial of the intersection lattice, descending coefficients."""
+        s1 = self.sum_mult_minus_one()
+        return (1, -self.d, s1, -(1 - self.d + s1))
+
+    def charpoly_value(self, t: int) -> int:
+        return reduce(lambda acc, c: acc * t + c, self.charpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -324,29 +353,6 @@ def weak_comb_data(arr: LineArrangement) -> WeakCombData:
     for pt in intersection_data(arr):
         census[pt.multiplicity] = census.get(pt.multiplicity, 0) + 1
     return WeakCombData.make(arr.d, census)
-
-
-# ---------------------------------------------------------------------------
-# combinatorial invariants
-
-# Betti numbers of the projective complement M from the rank-3 Moebius
-# function: b1 = d - 1 and b2 = sum_p (m_p - 1) - (d - 1); chi(M) is
-# cross-checked against chi(P^2) - chi(V) with chi(V) = 2d - sum_p (m_p - 1).
-
-
-def comb_invariants(w: WeakCombData) -> CombInvariants:
-    d = w.d
-    s1 = w.sum_mult_minus_one()
-    b1 = d - 1
-    b2 = s1 - (d - 1)
-    chi_m = 1 - b1 + b2
-    assert chi_m == 3 - (2 * d - s1)
-    charpoly = (1, -d, s1, -(1 - d + s1))
-    return CombInvariants(b1M=b1, b2M=b2, chiM=chi_m, chiF=d * chi_m, charpoly=charpoly)
-
-
-def charpoly_value(inv: CombInvariants, t: int) -> int:
-    return reduce(lambda acc, c: acc * t + c, inv.charpoly)
 
 
 def epoly_V(w: WeakCombData) -> HodgeTable:

@@ -25,14 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arrangement import (
-    CombInvariants,
-    LineArrangement,
-    WeakCombData,
-    comb_invariants,
-    epoly_V,
-    weak_comb_data,
-)
+from .arrangement import LineArrangement, WeakCombData, epoly_V, weak_comb_data
 from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
 from .localhodge import OrdinarySing, link_epoly, local_hodge_table
 from .repring import HodgeTable, ReprClass
@@ -209,10 +202,10 @@ def fiber_tables(h2x: HodgeTable, h3x: HodgeTable) -> tuple[HodgeTable, HodgeTab
     return pull(h3x), pull(h2x)
 
 
-def trivial_tables(inv: CombInvariants, d: int) -> dict[int, HodgeTable]:
+def trivial_tables(w: WeakCombData) -> dict[int, HodgeTable]:
     """Trivial-character parts: H^j(F)_1 is b_j(M) copies of type (j, j)."""
-    betti = {0: 1, 1: inv.b1M, 2: inv.b2M}
-    return {j: HodgeTable(d, {(j, j): ReprClass.trivial(d, b)}) for j, b in betti.items()}
+    betti = {0: 1, 1: w.b1M, 2: w.b2M}
+    return {j: HodgeTable(w.d, {(j, j): ReprClass.trivial(w.d, b)}) for j, b in betti.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,6 @@ def spectrum(w: WeakCombData) -> Spectrum:
     chi(F) - 1 and is asserted.
     """
     d = w.d
-    inv = comb_invariants(w)
     fermat = _fermat_table(d)
     loc = milnor_sum_table(w)
     m20 = fermat.entry(2, 0) - loc.entry(2, 0)
@@ -273,8 +265,8 @@ def spectrum(w: WeakCombData) -> Spectrum:
         if m:
             acc[a] = acc.get(a, 0) + m
 
-    put(Fraction(1), inv.b2M)
-    put(Fraction(2), -inv.b1M)
+    put(Fraction(1), w.b2M)
+    put(Fraction(2), -w.b1M)
     # m_3 is zero: nothing above weight 2 survives in the trivial part.
 
     for j in range(1, d):
@@ -286,11 +278,10 @@ def spectrum(w: WeakCombData) -> Spectrum:
 
     entries = tuple(sorted(acc.items()))
     total = sum(m for _, m in entries)
-    if total != inv.chiF - 1:
-        raise SumRuleViolation(
-            f"spectrum sums to {total}, expected chi(F) - 1 = {inv.chiF - 1}"
-        )
-    return Spectrum(d=d, chi_fiber=inv.chiF, entries=entries)
+    chi_f = w.chiF
+    if total != chi_f - 1:
+        raise SumRuleViolation(f"spectrum sums to {total}, expected chi(F) - 1 = {chi_f - 1}")
+    return Spectrum(d=d, chi_fiber=chi_f, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +297,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AssemblyReport:
-    arrangement: LineArrangement
     weak: WeakCombData
-    invariants: CombInvariants
     spec: Spectrum
     trivial: dict[int, HodgeTable]
     h3: SurfaceH3Data | None
@@ -316,7 +305,6 @@ class AssemblyReport:
     h1f: HodgeTable | None
     h2f: HodgeTable | None
     px: HodgeTable | None
-    pv: HodgeTable
     pcf: HodgeTable | None
     checks: tuple[CheckResult, ...]
 
@@ -334,10 +322,6 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
     """Spectrum, trivial parts and, given H^3 data, the full fiber tables."""
     w = weak_comb_data(arr)
     d = w.d
-    inv = comb_invariants(w)
-    spec = spectrum(w)
-    trivial = trivial_tables(inv, d)
-    pv = epoly_V(w)
 
     h2x = h1f = h2f = px = pcf = None
     if h3 is not None:
@@ -347,20 +331,17 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
         h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
         h1f, h2f = fiber_tables(h2x, h3.table)
         px = _p2(d) + h2x - h3.table
-        pcf = px - pv
+        pcf = px - epoly_V(w)
 
     report = AssemblyReport(
-        arrangement=arr,
         weak=w,
-        invariants=inv,
-        spec=spec,
-        trivial=trivial,
+        spec=spectrum(w),
+        trivial=trivial_tables(w),
         h3=h3,
         h2x=h2x,
         h1f=h1f,
         h2f=h2f,
         px=px,
-        pv=pv,
         pcf=pcf,
         checks=(),
     )
@@ -370,8 +351,8 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
 def check_identities(report: AssemblyReport) -> list[CheckResult]:
     """Weight purity, localization, conjugation and compact-support checks."""
     checks: list[CheckResult] = []
-    d = report.weak.d
-    inv = report.invariants
+    w = report.weak
+    d = w.d
 
     if report.h1f is not None:
         ok = all(p + q == 1 for (p, q) in report.h1f.support())
@@ -381,10 +362,10 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         checks.append(CheckResult("no_weight4_in_H2F", ok, "H2(F) nontrivial part has no (p,q) with p+q=4"))
 
         # localization identity: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - P(T*)
-        n_pts = report.weak.n_points()
+        n_pts = w.n_points()
         p_sigma = HodgeTable(d, {(0, 0): ReprClass.trivial(d, n_pts)})
         p_tstar = HodgeTable(d, {})
-        for k, count in report.weak.m:
+        for k, count in w.m:
             p_tstar = p_tstar + link_epoly(OrdinarySing(k, d)).scale(count)
         lhs = report.px - report.px.poincare_dual(2)
         rhs = p_sigma - p_sigma.poincare_dual(2) - p_tstar
@@ -416,9 +397,9 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         triv = ReprClass.trivial
         pcf_direct = (
             report.h2x
-            + HodgeTable(d, {(0, 0): triv(d, inv.b2M)})
+            + HodgeTable(d, {(0, 0): triv(d, w.b2M)})
             - report.h3.table
-            - HodgeTable(d, {(1, 1): triv(d, inv.b1M)})
+            - HodgeTable(d, {(1, 1): triv(d, w.b1M)})
             + HodgeTable(d, {(2, 2): triv(d)})
         )
         checks.append(
@@ -432,7 +413,7 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         euler_bad = []
         for j in range(1, d):
             lhs_dim = -report.h1f.dim_of_character(j) + report.h2f.dim_of_character(j)
-            if lhs_dim != inv.chiM:
+            if lhs_dim != w.chiM:
                 euler_bad.append(j)
         checks.append(
             CheckResult(
@@ -447,8 +428,8 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
     checks.append(
         CheckResult(
             "spectrum_sum_rule",
-            report.spec.total() == inv.chiF - 1,
-            f"sum {report.spec.total()} == chi(F) - 1 = {inv.chiF - 1}",
+            report.spec.total() == w.chiF - 1,
+            f"sum {report.spec.total()} == chi(F) - 1 = {w.chiF - 1}",
         )
     )
     return checks

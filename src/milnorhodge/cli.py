@@ -17,8 +17,6 @@ from pathlib import Path
 from . import assembly, pointcount
 from .arrangement import (
     LineArrangement,
-    charpoly_value,
-    comb_invariants,
     epoly_V,
     intersection_data,
     parse_arrangement,
@@ -46,11 +44,15 @@ def _load_arrangement(path: str) -> LineArrangement:
 def _load_h3(path: str) -> assembly.SurfaceH3Data:
     text = _read_text(path)
     try:
-        return assembly.SurfaceH3Data(HodgeTable.from_json_dict(json.loads(text)))
+        table = HodgeTable.from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path} is not an H3 table: missing or malformed {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path} is not an H3 table: {exc}") from exc
+    try:
+        return assembly.SurfaceH3Data(table)
     except ValueError as exc:
         raise MilnorHodgeError(str(exc)) from exc
 
@@ -92,7 +94,6 @@ def _cmd_combinatorics(args) -> int:
     arr = _load_arrangement(args.arrangement)
     points = intersection_data(arr)
     w = weak_comb_data(arr)
-    inv = comb_invariants(w)
     payload = {
         "arrangement": arr.describe(),
         "points": [
@@ -105,18 +106,18 @@ def _cmd_combinatorics(args) -> int:
         ],
         "weak_data": {"d": w.d, "m": {str(k): n for k, n in w.m}},
         "invariants": {
-            "b1M": inv.b1M,
-            "b2M": inv.b2M,
-            "chiM": inv.chiM,
-            "chiF": inv.chiF,
-            "charpoly": list(inv.charpoly),
+            "b1M": w.b1M,
+            "b2M": w.b2M,
+            "chiM": w.chiM,
+            "chiF": w.chiF,
+            "charpoly": list(w.charpoly),
         },
         "epoly_V": epoly_V(w).to_json_dict(),
     }
     text = (
         f"arrangement d={w.d}: {w.counts} multiple points\n"
-        f"b1(M)={inv.b1M} b2(M)={inv.b2M} chi(M)={inv.chiM} chi(F)={inv.chiF}\n"
-        f"charpoly={inv.charpoly}\n"
+        f"b1(M)={w.b1M} b2(M)={w.b2M} chi(M)={w.chiM} chi(F)={w.chiF}\n"
+        f"charpoly={w.charpoly}\n"
     )
     _emit(payload, args.pretty, text)
     return 0
@@ -192,14 +193,16 @@ def _cmd_h2f(args) -> int:
 
 
 def _parse_primes(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+    items = text.split(",") if text.strip() else []
+    try:  # an empty item between commas reaches int("") and is rejected
+        return [int(tok) for item in items for tok in item.split() or [""]]
     except ValueError as exc:
         raise MilnorHodgeError(f"bad prime list {text!r}") from exc
 
 
 def _count_payload(arr, args, extract: bool) -> dict:
     primes = _parse_primes(args.primes)
+    pointcount.check_request(arr, primes, args.target)
     tables = pointcount.count_tables(arr, primes, args.threads)
     d = arr.d
     fiber = args.target == "fiber"
@@ -267,10 +270,9 @@ def _cmd_check(args) -> int:
     arr = _load_arrangement(args.arrangement)
     checks: list[assembly.CheckResult] = []
     w = weak_comb_data(arr)
-    inv = comb_invariants(w)
     checks.append(assembly.CheckResult("weak_data_pair_count", True, "census covers every line pair"))
     checks.append(
-        assembly.CheckResult("chiF_multiplicativity", inv.chiF == w.d * inv.chiM, f"chiF={inv.chiF}")
+        assembly.CheckResult("chiF_multiplicativity", w.chiF == w.d * w.chiM, f"chiF={w.chiF}")
     )
     for k, _ in w.m:
         sing = OrdinarySing(k, w.d)
@@ -309,7 +311,7 @@ def _cmd_check(args) -> int:
             detail = _first_count_difference(fast, brute)
             checks.append(assembly.CheckResult(f"count_oracle_q{q}", not detail, detail))
         counted = pointcount.complement_count(fast)
-        expected = charpoly_value(inv, q)
+        expected = w.charpoly_value(q)
         checks.append(
             assembly.CheckResult(
                 f"complement_charpoly_q{q}", counted == expected, f"{counted} vs {expected}"
@@ -392,6 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
         return args.func(args)
     except MilnorHodgeError as exc:

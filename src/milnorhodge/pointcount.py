@@ -69,6 +69,7 @@ __all__ = [
     "complement_count",
     "count_tables",
     "fit_polynomials",
+    "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
 ]
@@ -167,11 +168,7 @@ def _lines_mod_q(arr: LineArrangement, q: int) -> tuple[PrimeField, list[tuple[i
     field = PrimeField.make(q)
     if arr.bad_modulus % q == 0:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
-    if arr.builtin == "ceva":
-        w = pow(field.g, (q - 1) // 3, q)
-        roots = [-pow(w, j, q) % q for j in range(3)]
-        return field, [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
-    return field, [(line.a % q, line.b % q, line.c % q) for line in arr.lines]
+    return field, arr.forms_mod(q, field.g)
 
 
 def good_primes(
@@ -218,19 +215,13 @@ class CountTable:
         assert sum(self.class_counts) + self.zero_count == self.q**3
 
 
-def _q_values(arr: LineArrangement, lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
+def _q_values(lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
     """Q(x, y, z) mod q on numpy arrays (broadcasting allowed): the oracle's arithmetic.
 
-    ``lines`` are the forms reduced modulo q (``_lines_mod_q``); Ceva's cubic
-    uses its closed form instead of its nine factors.
+    ``lines`` are the forms reduced modulo q (``_lines_mod_q``).
     """
     import numpy as np
 
-    if arr.builtin == "ceva":
-        x3 = (x * x % q) * x % q
-        y3 = (y * y % q) * y % q
-        z3 = (z * z % q) * z % q
-        return ((x3 - y3) % q) * ((x3 - z3) % q) % q * ((y3 - z3) % q) % q
     vals = np.ones_like(x * y * z, dtype=np.int64)
     for a, b, c in lines:
         vals = vals * ((a * x + b * y + c * z) % q) % q
@@ -319,7 +310,7 @@ def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
     field, lines = _lines_mod_q(arr, q)
     rng = np.arange(q, dtype=np.int64)
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-    vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
+    vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
     class_counts, zero_count = _aggregate(vals, field, arr.d)
     return CountTable(
         q=q,
@@ -415,6 +406,13 @@ def _poly_at(coeffs: Sequence[Fraction], x: int) -> Fraction:
     return acc
 
 
+def _check_fit_primes(primes: Sequence[int], degree: int, twist: int) -> None:
+    if len(set(primes)) != len(primes):
+        raise BadPrime(f"twist {twist}: a prime is repeated in {list(primes)}")
+    if len(primes) < degree + 2:
+        raise NotEnoughPrimes(f"twist {twist}: need at least {degree + 2} primes, got {len(primes)}")
+
+
 def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: int) -> FittedPoly:
     """Interpolate each twist through its first degree+1 primes, then verify.
 
@@ -426,13 +424,8 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
     fits: dict[tuple[tuple[int, int], ...], tuple[tuple[Fraction, ...], int | None]] = {}
     for j in sorted(sequences):
         pts = tuple(sequences[j])
-        if len({q for q, _ in pts}) != len(pts):
-            raise BadPrime(f"twist {j}: a prime is repeated in {[q for q, _ in pts]}")
-        if len(pts) < degree + 2:
-            raise NotEnoughPrimes(
-                f"twist {j}: need at least {degree + 2} primes, got {len(pts)}"
-            )
-        if pts not in fits:  # twists often share a sequence; fit each one once
+        if pts not in fits:  # twists often share a sequence; check and fit each one once
+            _check_fit_primes([q for q, _ in pts], degree, j)
             coeffs = _lagrange(pts[: degree + 1])
             fits[pts] = coeffs, next((q for q, y in pts if _poly_at(coeffs, q) != y), None)
         coeffs, bad = fits[pts]
@@ -444,15 +437,26 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
     return FittedPoly(degree=degree, per_twist=tuple(per_twist), witnesses=tuple(witnesses))
 
 
+# the degree in q of the fitted counts: the fiber is a surface, the complement a threefold
+_FIT_DEGREE = {"fiber": 2, "complement": 3}
+
+
 def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     counts = [(t.q, twisted_counts(t, d)) for t in tables]
     seqs = {j: [(q, tw[j]) for q, tw in counts] for j in range(d)}
-    return fit_polynomials(seqs, degree=2)
+    return fit_polynomials(seqs, degree=_FIT_DEGREE["fiber"])
 
 
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     seqs = {j: [(t.q, complement_count(t)) for t in tables] for j in range(d)}
-    return fit_polynomials(seqs, degree=3)
+    return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
+
+
+def check_request(arr: LineArrangement, primes: Sequence[int], target: str) -> None:
+    """Raise, before any count, what counting at ``primes`` and fitting ``target`` would."""
+    for q in primes:
+        _lines_mod_q(arr, q)
+    _check_fit_primes(primes, _FIT_DEGREE[target], 0)
 
 
 def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:

@@ -46,6 +46,7 @@ class ReprClass:
     mult: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))
         if self.d < 1:
             raise ValueError("modulus must be >= 1")
         if len(self.mult) != self.d:
@@ -128,6 +129,7 @@ class HodgeTable:
     __slots__ = ("d", "entries")
 
     def __init__(self, d: int, entries: Mapping[_Key, ReprClass] | None = None):
+        d = operator.index(d)
         if d < 1:
             raise ValueError("modulus must be >= 1")
         table: dict[_Key, ReprClass] = {}

@@ -17,8 +17,6 @@ from conftest import ceva_h3
 from milnorhodge.arrangement import (
     boolean_arrangement,
     ceva_arrangement,
-    comb_invariants,
-    charpoly_value,
     parse_arrangement,
     random_rational_arrangement,
     weak_comb_data,
@@ -152,10 +150,10 @@ def test_criterion_07_point_count_oracle():
     rng = random.Random(2024)
     for _ in range(10):
         arr = random_rational_arrangement(rng, rng.randint(3, 5))
-        inv = comb_invariants(weak_comb_data(arr))
+        w = weak_comb_data(arr)
         for field in good_primes(arr, 3, min_q=arr.d + 2):
             table = count_classes(arr, field.p)
-            ok = ok and complement_count(table) == charpoly_value(inv, field.p)
+            ok = ok and complement_count(table) == w.charpoly_value(field.p)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     record(7, "stratified counts match brute force and the characteristic polynomial",

@@ -28,7 +28,6 @@ from milnorhodge.assembly import (
     spectrum,
     trivial_tables,
 )
-from milnorhodge.arrangement import comb_invariants
 from milnorhodge.errors import DegreeTooSmall, NegativeMultiplicity
 from milnorhodge.localhodge import OrdinarySing, local_hodge_table
 from milnorhodge.repring import HodgeTable, ReprClass
@@ -190,13 +189,11 @@ def test_fiber_duality_routes_agree_on_symmetric_tables():
 
 
 def test_trivial_tables():
-    ceva_inv = comb_invariants(weak_comb_data(ceva_arrangement()))
-    triv = trivial_tables(ceva_inv, 9)
+    triv = trivial_tables(weak_comb_data(ceva_arrangement()))
     assert triv[0] == HodgeTable(9, {(0, 0): ReprClass.trivial(9)})
     assert triv[1] == HodgeTable(9, {(1, 1): ReprClass.trivial(9, 8)})
     assert triv[2] == HodgeTable(9, {(2, 2): ReprClass.trivial(9, 16)})
-    bool_inv = comb_invariants(weak_comb_data(boolean_arrangement()))
-    triv = trivial_tables(bool_inv, 3)
+    triv = trivial_tables(weak_comb_data(boolean_arrangement()))
     assert triv[1].entry(1, 1).dim() == 2
     assert triv[2].entry(2, 2).dim() == 1
 
@@ -262,8 +259,7 @@ def test_spectrum_sum_rule_on_random_arrangements():
     for _ in range(20):
         arr = random_rational_arrangement(rng, rng.randint(2, 8))
         spec = spectrum(weak_comb_data(arr))  # sum rule asserted internally
-        inv = comb_invariants(weak_comb_data(arr))
-        assert spec.total() == inv.chiF - 1
+        assert spec.total() == weak_comb_data(arr).chiF - 1
 
 
 def test_spectrum_denominators_divide_d():
@@ -334,16 +330,16 @@ def test_spectrum_sum_rule_and_symmetry_on_random_weak_data(w):
 def _spectrum_via_chain(arr, h3):
     """Recompute the spectrum from the fully assembled fiber tables."""
     report = assemble_all(arr, h3)
-    d = report.weak.d
-    inv = report.invariants
+    w = report.weak
+    d = w.d
     out = {}
 
     def put(a, m):
         if m:
             out[a] = m
 
-    put(Fraction(1), inv.b2M)
-    put(Fraction(2), -inv.b1M)
+    put(Fraction(1), w.b2M)
+    put(Fraction(2), -w.b1M)
     for j in range(1, d):
         for window in range(3):
             a = window + Fraction(d - j, d)

@@ -231,6 +231,29 @@ def test_h3_json_with_non_integer_values_is_parse_error(capsys, tmp_path, edit):
     assert json.loads(out)["error"] == "parse_error"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data["entries"][0]["mult"].append(0),
+        lambda data: data.update(d=0),
+    ],
+    ids=["mult-length", "zero-d"],
+)
+def test_h3_json_that_is_no_table_is_parse_error(capsys, tmp_path, edit):
+    path = _ceva_h3_with(tmp_path, edit)
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_h3_table_of_the_wrong_shape_is_error(capsys, tmp_path):
+    # a well-formed table, but H3 has no (2, 0) part
+    path = _ceva_h3_with(tmp_path, lambda data: data["entries"][0].update(p=2, q=0))
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "error", "message": "H3 data must be supported on (2,1) and (1,2)"}
+
+
 def test_h3_degree_mismatch_is_json_error(capsys):
     h3 = str(DATA / "ceva_h3x.json")  # d = 9 against the boolean arrangement's 3
     code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "boolean.txt"), "--h3x", h3)
@@ -283,6 +306,59 @@ def test_bad_reduction_prime_is_bad_prime(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"] == "bad_prime"
+
+
+@pytest.mark.parametrize("command", ["count", "hodge-from-counts"])
+@pytest.mark.parametrize(
+    "primes, code, message",
+    [
+        ("10009", "not_enough_primes", "twist 0: need at least 4 primes, got 1"),
+        ("7,13,7,19", "bad_prime", "twist 0: a prime is repeated in [7, 13, 7, 19]"),
+        ("7,13,19,31,5", "bad_prime", "5 is not 1 modulo 3"),
+        ("4,7,7", "bad_prime", "4 is not prime"),
+        ("", "not_enough_primes", "twist 0: need at least 4 primes, got 0"),
+    ],
+    ids=["one-prime", "repeated", "residue", "not-prime", "empty"],
+)
+def test_count_request_is_checked_before_counting(capsys, monkeypatch, command, primes, code, message):
+    from milnorhodge import pointcount
+
+    def no_counting(arr, q):
+        raise AssertionError(f"counted at {q} before the request was checked")
+
+    monkeypatch.setattr(pointcount, "count_classes", no_counting)
+    argv = [command, "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 1
+    assert json.loads(out) == {"error": code, "message": message}
+
+
+@pytest.mark.parametrize("primes", ["7,,13,19,31", "7,13,19,31,", ",7,13,19,31", "7, ,13,19,31"])
+def test_empty_prime_list_item_is_rejected(capsys, primes):
+    argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 1
+    assert json.loads(out) == {"error": "error", "message": f"bad prime list {primes!r}"}
+
+
+def test_prime_list_separators_are_commas_or_spaces(capsys):
+    outputs = set()
+    for primes in ("7,13,19,31", "7, 13, 19, 31", "7 13 19 31"):
+        argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
+        rc, out = run_cli(capsys, *argv)
+        assert rc == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_thread_count_below_one_is_usage_error(capsys, threads):
+    argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
+            "--primes", "7,13,19,31", "--threads", threads]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from milnorhodge.arrangement import (
     ProjLine,
     boolean_arrangement,
     ceva_arrangement,
-    comb_invariants,
-    charpoly_value,
     parse_arrangement,
     random_rational_arrangement,
     weak_comb_data,
@@ -242,6 +240,22 @@ def test_stratified_equals_brute_force_generic3(q, generic3):
     assert fast.zero_count == slow.zero_count
 
 
+@pytest.mark.parametrize("q", [19, 37, 73])
+def test_ceva_forms_multiply_to_the_binomial_product(q):
+    # independent route for Ceva's reduction: the nine reduced forms multiply
+    # to (x^3 - y^3)(x^3 - z^3)(y^3 - z^3) at every point of F_q^3
+    import numpy as np
+
+    from milnorhodge.pointcount import _lines_mod_q, _q_values
+
+    _, lines = _lines_mod_q(ceva_arrangement(), q)
+    rng = np.arange(q, dtype=np.int64)
+    x, y, z = (a.ravel() for a in np.meshgrid(rng, rng, rng, indexing="ij"))
+    x3, y3, z3 = (v * v % q * v % q for v in (x, y, z))
+    cubic = (x3 - y3) % q * ((x3 - z3) % q) % q * ((y3 - z3) % q) % q
+    assert np.array_equal(_q_values(lines, q, x, y, z), cubic)
+
+
 def test_stratified_equals_brute_force_ceva():
     arr = ceva_arrangement()
     fast, slow = count_classes(arr, 19), brute_force_count(arr, 19)
@@ -262,7 +276,7 @@ def test_twisted_counts_equal_explicit_fiber_counts():
         field, lines = _lines_mod_q(arr, q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
         tw = twisted_counts(count_classes(arr, q), d)
         for j in range(d):
             s = pow(field.g, j, q)
@@ -279,7 +293,7 @@ def test_untwisted_count_is_fiber_cardinality():
         field, lines = _lines_mod_q(arr, q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
-        vals = _q_values(arr, lines, q, xs.ravel(), ys.ravel(), zs.ravel())
+        vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
         direct = int((vals == 1).sum())
         table = count_classes(arr, q)
         assert twisted_counts(table, arr.d)[0] == direct
@@ -296,9 +310,9 @@ def _product_route(arr, q: int) -> CountTable:
     ys, zs = np.meshgrid(span, span, indexing="ij")
     one, zero = np.int64(1), np.int64(0)
     vals = np.concatenate([
-        _q_values(arr, lines, q, one, ys.ravel(), zs.ravel()),
-        np.atleast_1d(_q_values(arr, lines, q, zero, one, span)),
-        np.atleast_1d(_q_values(arr, lines, q, zero, zero, one)),
+        _q_values(lines, q, one, ys.ravel(), zs.ravel()),
+        np.atleast_1d(_q_values(lines, q, zero, one, span)),
+        np.atleast_1d(_q_values(lines, q, zero, zero, one)),
     ])
     classes, zeros = _aggregate(vals, field, arr.d)
     return CountTable(q, field.g, arr.d, tuple(int(c) * (q - 1) for c in classes), zeros * (q - 1) + 1)
@@ -399,7 +413,7 @@ def test_chiF_from_extracted_counts(generic3):
         tables = count_tables(arr, [7, 13, 19, 31])
         epoly = hodge_from_counts(fiber_fit(tables, arr.d), arr.d)
         chi = sum(r.dim() for _, r in epoly.items())
-        assert chi == comb_invariants(weak_comb_data(arr)).chiF
+        assert chi == weak_comb_data(arr).chiF
 
 
 def test_twisted_sum_relates_to_complement():
@@ -416,9 +430,9 @@ def test_complement_crosscheck_fixtures(generic3):
         (generic3, [7, 13]),
         (ceva_arrangement(), [19]),
     ):
-        inv = comb_invariants(weak_comb_data(arr))
+        w = weak_comb_data(arr)
         for table in count_tables(arr, primes):
-            assert complement_count(table) == charpoly_value(inv, table.q)
+            assert complement_count(table) == w.charpoly_value(table.q)
 
 
 def test_complement_crosscheck_random_arrangements():
@@ -426,9 +440,9 @@ def test_complement_crosscheck_random_arrangements():
     for _ in range(10):
         arr = random_rational_arrangement(rng, rng.randint(3, 5))
         primes = [f.p for f in good_primes(arr, 3, min_q=arr.d + 2)]
-        inv = comb_invariants(weak_comb_data(arr))
+        w = weak_comb_data(arr)
         for table in count_tables(arr, primes):
-            assert complement_count(table) == charpoly_value(inv, table.q), (arr, table.q)
+            assert complement_count(table) == w.charpoly_value(table.q), (arr, table.q)
 
 
 _coeff = st.integers(-4, 4)
@@ -562,14 +576,14 @@ def test_complement_extraction_matches_betti_numbers(generic3):
         tables = count_tables(arr, primes)
         fit = complement_fit(tables, arr.d)
         assert fit.is_polynomial()
-        inv = comb_invariants(weak_comb_data(arr))
+        w = weak_comb_data(arr)
         # every twist fits the characteristic polynomial
-        charpoly_asc = tuple(Fraction(c) for c in reversed(inv.charpoly))
+        charpoly_asc = tuple(Fraction(c) for c in reversed(w.charpoly))
         assert fit.per_twist == (charpoly_asc,) * arr.d
         epoly = hodge_from_counts(fit, arr.d)
         assert epoly.support() == [(0, 0), (1, 1), (2, 2), (3, 3)]
         # weight specialization: alternating Betti numbers of M x C*
-        betti = (1, 1 + inv.b1M, inv.b1M + inv.b2M, inv.b2M)
+        betti = (1, 1 + w.b1M, w.b1M + w.b2M, w.b2M)
         for i in range(4):
             r = epoly.entry(i, i)
             assert r == ReprClass.trivial(arr.d, (-1) ** (3 - i) * betti[3 - i])
@@ -602,3 +616,19 @@ def test_count_tables_deterministic_across_threads():
     serial = count_tables(ceva_arrangement(), primes, threads=1)
     parallel = count_tables(ceva_arrangement(), primes, threads=8)
     assert serial == parallel
+
+
+def test_pappus_and_non_pappus_share_weak_data_but_not_twisted_counts(data_dir):
+    # the paper's negative result as far as the code reaches: the weak data
+    # fix the spectrum and the untwisted census, but not the twisted counts
+    from milnorhodge.assembly import spectrum
+
+    pappus, other = (parse_arrangement((data_dir / f).read_text()) for f in ("pappus.txt", "nonpappus.txt"))
+    w = weak_comb_data(pappus)
+    assert w.counts == {2: 9, 3: 9}
+    assert weak_comb_data(other) == w
+    assert spectrum(weak_comb_data(other)) == spectrum(w)
+    a, b = count_classes(pappus, 37), count_classes(other, 37)
+    assert a.zero_count == b.zero_count == 11_341
+    assert list(twisted_counts(a, 9).values()) == [747, 1377, 1152] * 3
+    assert list(twisted_counts(b, 9).values()) == [1062, 981, 1008, 1089, 1008, 1260, 1062, 1143, 1215]

@@ -270,3 +270,21 @@ def test_numpy_integers_are_accepted_as_python_ints():
     table = HodgeTable(3, {(np.int64(1), np.int32(0)): r})
     assert table.support() == [(1, 0)]
     assert all(type(i) is int for i in table.support()[0])
+
+
+@pytest.mark.parametrize("d", [3.0, 2.5, Fraction(3)])
+def test_moduli_must_be_integers(d):
+    # 3.0 used to build a class equal to one of modulus 3, and 2.5 a table of modulus 2.5
+    with pytest.raises(TypeError):
+        ReprClass(d, (1, 2, 3))
+    with pytest.raises(TypeError):
+        HodgeTable(d)
+
+
+def test_numpy_integer_moduli_are_accepted_as_python_ints():
+    import numpy as np
+
+    r = ReprClass(np.int64(3), (1, 2, 3))
+    assert r == ReprClass(3, (1, 2, 3)) and type(r.d) is int
+    table = HodgeTable(np.int32(3), {(1, 1): r})
+    assert table == HodgeTable(3, {(1, 1): r}) and type(table.d) is int
