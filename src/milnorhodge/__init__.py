@@ -12,7 +12,6 @@ The package computes, exactly over the integers and rationals:
 
 from .arrangement import (
     LineArrangement,
-    ProjLine,
     WeakCombData,
     boolean_arrangement,
     ceva_arrangement,

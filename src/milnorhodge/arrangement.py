@@ -1,8 +1,10 @@
 """Exact combinatorics of projective line arrangements.
 
-Lines carry integer coefficients in canonical form (gcd one, first nonzero
-coefficient positive).  Intersection points come from pairwise cross products
-over Z, so the whole rank-2 incidence structure is computed exactly; every
+A line ax + by + cz = 0 is its integer triple (a, b, c) in canonical form (gcd
+one, first nonzero coefficient positive), enforced in one place: the
+``LineArrangement`` constructor, which also rejects zero, repeated and missing
+forms.  Intersection points come from pairwise cross products over Z, so the
+rank-2 incidence map (point -> indices of its lines) is exact; every
 downstream Hodge quantity consumes only the resulting weak combinatorial data
 (the line count d and the census m_k of points of multiplicity k).
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Mapping, Sequence
@@ -28,9 +31,7 @@ from .errors import DuplicateLine, ParseError, ZeroForm
 from .repring import HodgeTable, ReprClass
 
 __all__ = [
-    "ProjLine",
     "LineArrangement",
-    "IntersectionPoint",
     "WeakCombData",
     "BUILTIN_NAMES",
     "parse_arrangement",
@@ -60,31 +61,11 @@ def _canonical_triple(t: Sequence[int]) -> Triple:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True, order=True)
-class ProjLine:
-    """The projective line a*x + b*y + c*z = 0, in canonical integer form."""
-
-    a: int
-    b: int
-    c: int
-
-    @classmethod
-    def from_coeffs(cls, a: int, b: int, c: int) -> "ProjLine":
-        return cls(*_canonical_triple((a, b, c)))
-
-    @property
-    def coeffs(self) -> Triple:
-        return (self.a, self.b, self.c)
-
-    def eval(self, x: int, y: int, z: int) -> int:
-        return self.a * x + self.b * y + self.c * z
-
-
 @dataclass(frozen=True)
 class LineArrangement:
-    """A reduced arrangement: explicit rational lines, or a named builtin."""
+    """A reduced arrangement: canonical rational lines in input order, or a named builtin."""
 
-    lines: tuple[ProjLine, ...] = ()
+    lines: tuple[Triple, ...] = ()
     builtin: str | None = None
 
     def __post_init__(self) -> None:
@@ -93,8 +74,15 @@ class LineArrangement:
                 raise ParseError(f"unknown builtin arrangement {self.builtin!r}")
             if self.lines:
                 raise ParseError("builtin arrangements carry no explicit lines")
-        elif len(self.lines) < 1:
-            raise ParseError("an arrangement needs at least one line")
+            return
+        lines: dict[Triple, None] = {}
+        for line in map(_canonical_triple, self.lines):
+            if line in lines:
+                raise DuplicateLine(f"line {line} appears twice after canonicalization")
+            lines[line] = None
+        if not lines:
+            raise ParseError("no lines found")
+        object.__setattr__(self, "lines", tuple(lines))
 
     @property
     def d(self) -> int:
@@ -106,8 +94,8 @@ class LineArrangement:
     def bad_modulus(self) -> int:
         """The integer N: modulo a prime q the incidence data survive iff q does not divide N.
 
-        For rational lines N is the lcm of the content of every line (q divides
-        it when the line vanishes), of every pairwise cross product (when two
+        For rational lines (content one, so none vanishes modulo q) N is the lcm
+        of the content of every pairwise cross product (q divides it when two
         lines coincide) and of every nonzero value of a line at an
         intersection point (when the line passes through the point modulo q,
         which merges it with another point).  Ceva's forms over Z[w] fail only
@@ -116,13 +104,12 @@ class LineArrangement:
         """
         if self.builtin == "ceva":
             return 3
-        forms = [line.coeffs for line in self.lines]
-        points = [p.point for p in intersection_data(self)]
+        forms = self.lines
+        points = intersection_data(self)
         values: set[int] = set()
         for a, b, c in forms:
             values.update([a * x + b * y + c * z for x, y, z in points])
         values.discard(0)  # the line passes through the point
-        values.update(math.gcd(*f) for f in forms)
         values.update(math.gcd(*_cross(f, g)) for i, f in enumerate(forms) for g in forms[i + 1 :])
         return math.lcm(*values)
 
@@ -136,27 +123,12 @@ class LineArrangement:
             w = pow(g, (q - 1) // 3, q)
             roots = [-pow(w, j, q) % q for j in range(3)]
             return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
-        return [(line.a % q, line.b % q, line.c % q) for line in self.lines]
+        return [(a % q, b % q, c % q) for a, b, c in self.lines]
 
     def describe(self) -> dict:
         if self.builtin:
             return {"kind": "builtin", "builtin": self.builtin, "d": self.d}
-        return {"kind": "lines", "d": self.d, "lines": [list(l.coeffs) for l in self.lines]}
-
-
-@dataclass(frozen=True)
-class IntersectionPoint:
-    """A rank-2 flat: canonical projective point plus incident line indices.
-
-    Builtin arrangements may label non-rational points symbolically.
-    """
-
-    point: Triple | str
-    incident: frozenset[int]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.incident)
+        return {"kind": "lines", "d": self.d, "lines": [list(line) for line in self.lines]}
 
 
 @dataclass(frozen=True)
@@ -229,23 +201,19 @@ class WeakCombData:
 _CEVA_D = 9
 
 
-def _ceva_points() -> list[IntersectionPoint]:
+def _ceva_points() -> dict[Triple | str, frozenset[int]]:
     # Lines are indexed 0-2: x = w^a y, 3-5: x = w^b z, 6-8: y = w^c z,
     # with w a primitive cube root of unity.  Each coordinate vertex joins
     # one family; the nine mixed points are (1 : w^-a : w^-b).
-    pts: list[IntersectionPoint] = [
-        IntersectionPoint((0, 0, 1), frozenset({0, 1, 2})),
-        IntersectionPoint((0, 1, 0), frozenset({3, 4, 5})),
-        IntersectionPoint((1, 0, 0), frozenset({6, 7, 8})),
-    ]
+    pts: dict[Triple | str, frozenset[int]] = {
+        (0, 0, 1): frozenset({0, 1, 2}),
+        (0, 1, 0): frozenset({3, 4, 5}),
+        (1, 0, 0): frozenset({6, 7, 8}),
+    }
     for a in range(3):
         for b in range(3):
-            incident = frozenset({a, 3 + b, 6 + (b - a) % 3})
-            if a == 0 and b == 0:
-                pts.append(IntersectionPoint((1, 1, 1), incident))
-            else:
-                label = f"(1 : w^{(-a) % 3} : w^{(-b) % 3})"
-                pts.append(IntersectionPoint(label, incident))
+            label = (1, 1, 1) if a == b == 0 else f"(1 : w^{(-a) % 3} : w^{(-b) % 3})"
+            pts[label] = frozenset({a, 3 + b, 6 + (b - a) % 3})
     return pts
 
 
@@ -257,7 +225,7 @@ def ceva_arrangement() -> LineArrangement:
 
 
 def boolean_arrangement() -> LineArrangement:
-    return LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    return LineArrangement(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +239,7 @@ def parse_arrangement(text: str) -> LineArrangement:
     separates forms; lines starting with ``#`` are comments.  A single
     ``builtin: <name>`` directive selects a named arrangement instead.
     """
-    forms: list[ProjLine] = []
+    forms: list[Triple] = []
     builtin: str | None = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -292,30 +260,21 @@ def parse_arrangement(text: str) -> LineArrangement:
             if len(parts) != 3:
                 raise ParseError(f"expected three integers, got {chunk!r}")
             try:
-                coeffs = tuple(int(p) for p in parts)
+                forms.append(tuple(int(p) for p in parts))
             except ValueError as exc:
                 raise ParseError(f"non-integer coefficient in {chunk!r}") from exc
-            new = ProjLine.from_coeffs(*coeffs)
-            if new in forms:
-                raise DuplicateLine(f"line {new.coeffs} appears twice after canonicalization")
-            forms.append(new)
     if builtin is not None:
         return LineArrangement(builtin=builtin)
-    if not forms:
-        raise ParseError("no lines found")
     return LineArrangement(tuple(forms))
 
 
 def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4) -> LineArrangement:
     """Deterministically sample d distinct small-coefficient lines."""
-    lines: list[ProjLine] = []
+    lines: dict[Triple, None] = {}  # canonical forms in draw order
     while len(lines) < d:
         coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(3))
-        if coeffs == (0, 0, 0):
-            continue
-        line = ProjLine.from_coeffs(*coeffs)
-        if line not in lines:
-            lines.append(line)
+        if any(coeffs):
+            lines[_canonical_triple(coeffs)] = None
     return LineArrangement(tuple(lines))
 
 
@@ -327,12 +286,14 @@ def _cross(u: Triple, v: Triple) -> Triple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def intersection_data(arr: LineArrangement) -> list[IntersectionPoint]:
-    """All rank-2 flats; every unordered line pair lies in exactly one."""
+def intersection_data(arr: LineArrangement) -> dict[Triple | str, frozenset[int]]:
+    """All rank-2 flats, point -> incident line indices; every line pair lies in exactly one.
+
+    Rational points are sorted canonical triples; builtins may label points symbolically.
+    """
     if arr.builtin == "ceva":
         return _ceva_points()
-    lines = arr.lines
-    forms = [line.coeffs for line in lines]
+    forms = arr.lines
     incident: dict[Triple, set[int]] = {}
     # _cross written out: the call costs 5-9% of this loop, which the spectrum route runs
     for i, (a1, b1, c1) in enumerate(forms):
@@ -340,19 +301,13 @@ def intersection_data(arr: LineArrangement) -> list[IntersectionPoint]:
             a2, b2, c2 = forms[j]
             pt = _canonical_triple((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
             incident.setdefault(pt, set()).update((i, j))
-    out = []
-    for pt in sorted(incident):
-        idx = incident[pt]
-        assert all(lines[i].eval(*pt) == 0 for i in idx)
-        out.append(IntersectionPoint(pt, frozenset(idx)))
-    return out
+    for (x, y, z), idx in incident.items():
+        assert all(a * x + b * y + c * z == 0 for a, b, c in (forms[i] for i in idx))
+    return {pt: frozenset(incident[pt]) for pt in sorted(incident)}
 
 
 def weak_comb_data(arr: LineArrangement) -> WeakCombData:
-    census: dict[int, int] = {}
-    for pt in intersection_data(arr):
-        census[pt.multiplicity] = census.get(pt.multiplicity, 0) + 1
-    return WeakCombData.make(arr.d, census)
+    return WeakCombData.make(arr.d, Counter(map(len, intersection_data(arr).values())))
 
 
 def epoly_V(w: WeakCombData) -> HodgeTable:

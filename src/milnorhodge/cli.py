@@ -92,17 +92,16 @@ def _first_count_difference(fast, brute) -> str:
 
 def _cmd_combinatorics(args) -> int:
     arr = _load_arrangement(args.arrangement)
-    points = intersection_data(arr)
     w = weak_comb_data(arr)
     payload = {
         "arrangement": arr.describe(),
         "points": [
             {
-                "point": list(pt.point) if isinstance(pt.point, tuple) else pt.point,
-                "multiplicity": pt.multiplicity,
-                "lines": sorted(pt.incident),
+                "point": list(pt) if isinstance(pt, tuple) else pt,
+                "multiplicity": len(lines),
+                "lines": sorted(lines),
             }
-            for pt in points
+            for pt, lines in intersection_data(arr).items()
         ],
         "weak_data": {"d": w.d, "m": {str(k): n for k, n in w.m}},
         "invariants": {
@@ -268,6 +267,11 @@ def _cmd_hodge_from_counts(args) -> int:
 
 def _cmd_check(args) -> int:
     arr = _load_arrangement(args.arrangement)
+    if args.primes:
+        primes = _parse_primes(args.primes)
+        pointcount.check_primes(arr, primes)
+    else:
+        primes = [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
     checks: list[assembly.CheckResult] = []
     w = weak_comb_data(arr)
     checks.append(assembly.CheckResult("weak_data_pair_count", True, "census covers every line pair"))
@@ -300,10 +304,6 @@ def _cmd_check(args) -> int:
             break
     checks.append(assembly.CheckResult("random_weak_data_sum_rule", ok, detail))
 
-    if args.primes:
-        primes = _parse_primes(args.primes)
-    else:
-        primes = [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
     for q in primes:
         fast = pointcount.count_classes(arr, q)
         if q <= 50:

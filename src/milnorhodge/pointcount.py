@@ -69,6 +69,7 @@ __all__ = [
     "complement_count",
     "count_tables",
     "fit_polynomials",
+    "check_primes",
     "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
@@ -450,6 +451,17 @@ def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     seqs = {j: [(t.q, complement_count(t)) for t in tables] for j in range(d)}
     return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
+
+
+def check_primes(arr: LineArrangement, primes: Sequence[int]) -> None:
+    """Raise BadPrime, before any count, unless ``arr`` can be counted once at each prime.
+
+    Primes are checked in input order by the per-prime rule of ``check_request``.
+    """
+    for q in primes:
+        _lines_mod_q(arr, q)
+    if len(set(primes)) != len(primes):
+        raise BadPrime(f"a prime is repeated in {list(primes)}")
 
 
 def check_request(arr: LineArrangement, primes: Sequence[int], target: str) -> None:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
     LineArrangement,
-    ProjLine,
     WeakCombData,
+    _canonical_triple,
     boolean_arrangement,
     ceva_arrangement,
     epoly_V,
@@ -67,12 +67,11 @@ def test_parse_ceva_builtin():
 
 
 def test_line_canonical_form():
-    assert ProjLine.from_coeffs(-2, 4, -6) == ProjLine(1, -2, 3)
-    assert ProjLine.from_coeffs(0, -3, -9) == ProjLine(0, 1, 3)
+    assert LineArrangement(((-2, 4, -6), (0, -3, -9))).lines == ((1, -2, 3), (0, 1, 3))
 
 
 _coeff = st.integers(-9, 9)
-_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: ProjLine.from_coeffs(*t))
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(_canonical_triple)
 # what may follow a written form: newlines, "/" separators and "#" comments
 _separators = st.sampled_from(["\n", "/", " / ", "\n# note 1 2 3 / 4 5 6\n", "\n\n  # note\n"])
 
@@ -94,8 +93,8 @@ def test_written_lines_parse_back(lines, data):
 def test_boolean_intersections():
     pts = intersection_data(boolean_arrangement())
     assert len(pts) == 3
-    assert all(p.multiplicity == 2 for p in pts)
-    assert {p.point for p in pts} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert all(len(lines) == 2 for lines in pts.values())
+    assert set(pts) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 def _brute_force_pairwise(lines):
@@ -103,7 +102,7 @@ def _brute_force_pairwise(lines):
     found = {}
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            (a1, b1, c1), (a2, b2, c2) = lines[i].coeffs, lines[j].coeffs
+            (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
             x = Fraction(b1 * c2 - c1 * b2)
             y = Fraction(c1 * a2 - a1 * c2)
             z = Fraction(a1 * b2 - b1 * a2)
@@ -120,20 +119,43 @@ def test_generic_four_lines_give_six_double_points(data_dir):
     pts = intersection_data(arr)
     oracle = _brute_force_pairwise(arr.lines)
     assert len(pts) == len(oracle) == 6
-    assert all(p.multiplicity == 2 for p in pts)
-    assert sorted(map(sorted, (p.incident for p in pts))) == sorted(
+    assert all(len(lines) == 2 for lines in pts.values())
+    assert sorted(map(sorted, pts.values())) == sorted(
         map(sorted, oracle.values())
     )
+
+
+def _scaled(point):
+    lead = next(v for v in point if v)
+    return tuple(Fraction(v, lead) for v in point)
+
+
+_small = st.integers(-4, 4)
+_small_lines = st.tuples(_small, _small, _small).filter(any).map(_canonical_triple)
+# a pencil of lines through (0 : 0 : 1) plus a few other lines, most of them off its centre
+_near_pencils = st.tuples(
+    st.lists(_small, min_size=2, max_size=7, unique=True),
+    st.lists(_small_lines, min_size=1, max_size=3),
+).map(lambda t: list(dict.fromkeys([(1, k, 0) for k in t[0]] + t[1])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(_small_lines, min_size=2, max_size=10, unique=True), _near_pencils))
+def test_intersection_data_matches_the_rational_oracle(lines):
+    arr = LineArrangement(tuple(lines))
+    pts = intersection_data(arr)
+    assert list(pts) == sorted(pts)
+    assert {_scaled(pt): set(idx) for pt, idx in pts.items()} == _brute_force_pairwise(arr.lines)
 
 
 def test_ceva_intersections():
     pts = intersection_data(ceva_arrangement())
     assert len(pts) == 12
-    assert all(p.multiplicity == 3 for p in pts)
+    assert all(len(lines) == 3 for lines in pts.values())
     # every incidence triple is distinct and covers all C(9,2) pairs once
     pairs = set()
-    for p in pts:
-        inc = sorted(p.incident)
+    for lines in pts.values():
+        inc = sorted(lines)
         for i in range(3):
             for j in range(i + 1, 3):
                 pair = (inc[i], inc[j])
@@ -205,7 +227,7 @@ def test_epoly_V_ceva():
 
 
 def test_epoly_V_single_line():
-    arr = LineArrangement((ProjLine(1, 0, 0),))
+    arr = LineArrangement(((1, 0, 0),))
     t = epoly_V(weak_comb_data(arr))
     assert t == HodgeTable(1, {(1, 1): ReprClass.trivial(1), (0, 0): ReprClass.trivial(1)})
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import ceva_h3
 from milnorhodge.arrangement import (
     LineArrangement,
-    ProjLine,
     WeakCombData,
     boolean_arrangement,
     ceva_arrangement,
@@ -240,7 +239,7 @@ def test_boolean_spectrum():
 def test_pencil_spectrum():
     # three concurrent lines: a single triple point, negative entries in two
     # fractional windows
-    pencil = LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    pencil = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     spec = spectrum(weak_comb_data(pencil))
     assert dict(spec.entries) == {
         Fraction(4, 3): -1,
@@ -288,12 +287,12 @@ def _budur_saito_fractional(w: WeakCombData) -> dict[Fraction, int]:
 def _near_pencil(d: int) -> LineArrangement:
     # d - 1 lines through (0:0:1) and the line z = 0
     forms = [(1, -t, 0) for t in range(d - 1)] + [(0, 0, 1)]
-    return LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in forms))
+    return LineArrangement(tuple(forms))
 
 
 def test_spectrum_matches_budur_saito_closed_form():
     # an oracle for the fractional spectrum that bypasses localhodge entirely
-    pencil = LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    pencil = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     arrangements = [ceva_arrangement(), pencil] + [_near_pencil(d) for d in range(4, 8)]
     rng = random.Random(43)
     arrangements += [random_rational_arrangement(rng, rng.randint(3, 8), 2) for _ in range(20)]
@@ -421,7 +420,7 @@ def test_checks_fail_on_corrupted_h3(data_dir):
 def test_pencil_assembly_pins_h3_orientation():
     # three concurrent lines: the fiber is (curve) x C, so H2(F) nontrivial
     # part must vanish; only one orientation of the H3 data is admissible
-    pencil = LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in ((1, 0, 0), (0, 1, 0), (1, 1, 0))))
+    pencil = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     good = SurfaceH3Data(
         HodgeTable(3, {(2, 1): ReprClass.character(3, 2), (1, 2): ReprClass.character(3, 1)})
     )
@@ -439,7 +438,7 @@ def test_pencil_assembly_pins_h3_orientation():
 
 def test_checks_degenerate_smooth_case():
     # one line: no singular points; the localization identity reads 0 = 0
-    arr = LineArrangement((ProjLine(1, 0, 0),))
+    arr = LineArrangement(((1, 0, 0),))
     report = assemble_all(arr, SurfaceH3Data.zero(1))
     assert report.all_pass()
     # X is the plane here, so P_c(F) is the affine plane class

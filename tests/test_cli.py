@@ -4,12 +4,17 @@ Set UPDATE_GOLDENS=1 to regenerate the golden files after an intentional
 schema change.
 """
 
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnorhodge.arrangement import boolean_arrangement
 from milnorhodge.cli import main
@@ -169,6 +174,30 @@ def test_parse_error_code(capsys):
     code, out = run_cli(capsys, "spectrum", "--arrangement", str(DATA / "badline.txt"))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("0 0 0\n", "zero_form", "all three coefficients vanish"),
+        ("1 0 0\n2 0 0\n", "duplicate_line", "line (1, 0, 0) appears twice after canonicalization"),
+        ("1 0\n", "parse_error", "expected three integers, got '1 0'"),
+        ("1 0 x\n", "parse_error", "non-integer coefficient in '1 0 x'"),
+        ("", "parse_error", "no lines found"),
+        ("# only a comment\n", "parse_error", "no lines found"),
+        ("builtin: nosuch\n", "parse_error", "unknown builtin arrangement 'nosuch'"),
+        ("1 0 0\nbuiltin: ceva\n", "parse_error", "builtin directive must be the only content"),
+        ("builtin: ceva\n1 0 0\n", "parse_error", "builtin directive must be the only content"),
+    ],
+    ids=["zero", "duplicate", "two-numbers", "non-integer", "empty", "comment-only",
+         "unknown-builtin", "lines-then-builtin", "builtin-then-lines"],
+)
+def test_arrangement_file_with_one_fault(capsys, tmp_path, text, code, message):
+    path = tmp_path / "arrangement.txt"
+    path.write_text(text)
+    rc, out = run_cli(capsys, "spectrum", "--arrangement", str(path))
+    assert rc == 1
+    assert json.loads(out) == {"error": code, "message": message}
 
 
 def test_missing_file_exits_1(capsys):
@@ -331,6 +360,24 @@ def test_count_request_is_checked_before_counting(capsys, monkeypatch, command, 
     rc, out = run_cli(capsys, *argv)
     assert rc == 1
     assert json.loads(out) == {"error": code, "message": message}
+
+
+@pytest.mark.parametrize(
+    "primes, message",
+    [("7,13,8", "8 is not 1 modulo 3"), ("7,7", "a prime is repeated in [7, 7]")],
+    ids=["residue", "repeated"],
+)
+def test_check_primes_are_checked_before_counting(capsys, monkeypatch, primes, message):
+    from milnorhodge import pointcount
+
+    def no_counting(arr, q):
+        raise AssertionError(f"counted at {q} before the primes were checked")
+
+    monkeypatch.setattr(pointcount, "count_classes", no_counting)
+    monkeypatch.setattr(pointcount, "brute_force_count", no_counting)
+    rc, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--primes", primes)
+    assert rc == 1
+    assert json.loads(out) == {"error": "bad_prime", "message": message}
 
 
 @pytest.mark.parametrize("primes", ["7,,13,19,31", "7,13,19,31,", ",7,13,19,31", "7, ,13,19,31"])
@@ -579,6 +626,129 @@ def test_check_reads_seed(capsys, monkeypatch):
     assert code == 0 and seeds == [3]
     # the random sum-rule check reports no detail when it passes, so any seed gives the golden bytes
     assert out == (GOLDEN / "check_boolean.json").read_text()
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract as a property: exit 0, 1 or 2, one JSON document, no traceback
+
+_PRIMES_BELOW_60 = [q for q in range(2, 60) if all(q % f for f in range(2, q))]
+# coefficients in [-4, 4], zero one time in three, so that lines meet in points of high multiplicity
+_COEFFS = ["0", "0", "0", "0", "1", "-1", "2", "-2", "3", "-3", "4", "-4"]
+_GARBAGE = ["x", "1.5", "0x7", "--", "#", "/", "builtin:", "\u00e9", "", "1 2", str(10**40), str(-(7**50)), "+3",
+            "1_0", "\u0663", "1e3"]
+_SEPARATORS = ["\n", "/", " / ", "\n# note 1 2 3 / 4 5 6\n", "\n\n  "]
+_BUILTINS = ["builtin: ceva\n", "builtin: nosuch\n", "builtin:\n", "builtin: ceva\nbuiltin: ceva\n",
+             "1 0 0\nbuiltin: ceva\n", "# builtin: ceva\n1 0 0\n"]
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3, 12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["d", "entries", "p", "q", "mult"]), inner, max_size=4),
+    max_leaves=10,
+)
+_ints = st.integers(-3, 40).map(str)
+
+
+@st.composite
+def _arrangement_texts(draw) -> tuple[str, int]:
+    """An arrangement file and its line count d.
+
+    One time in eight a directive (d = 9); otherwise up to 8 forms, one byte per
+    coefficient (a hypothesis list of forms costs about 2 ms per example), with
+    one coefficient replaced by a garbage token one time in seven.
+    """
+    choice = draw(st.integers(0, 7))
+    if choice == 0:
+        return draw(st.sampled_from(_BUILTINS)), 9
+    coeffs = [_COEFFS[b % 12] for b in draw(st.binary(min_size=3, max_size=24))]
+    if choice == 1:
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(st.sampled_from(_GARBAGE))
+    forms = [" ".join(coeffs[i : i + 3]) for i in range(0, len(coeffs) - 2, 3)]
+    return draw(st.sampled_from(_SEPARATORS)).join(forms), len(forms)
+
+
+@functools.cache
+def _h3_text(d: int):
+    """An H3 file: Ceva's, a table for degree d (often valid), a JSON tree or text."""
+    entry = st.builds(
+        lambda pq, mult: {"p": pq[0], "q": pq[1], "mult": mult},
+        st.sampled_from([(2, 1), (1, 2), (2, 0)]),
+        st.lists(st.integers(-2, 3), min_size=d, max_size=d),
+    )
+    table = st.fixed_dictionaries({"d": st.sampled_from([d, d, 0, 9]), "entries": st.lists(entry, max_size=2)})
+    ceva = (DATA / "ceva_h3x.json").read_text()
+    return st.one_of(st.just(ceva), table.map(json.dumps), _JSON_TREES.map(json.dumps), st.text(max_size=8))
+
+
+@functools.cache
+def _prime_list(d: int):
+    """The first n primes = 1 mod d below 60 and up to two other numbers, joined by commas or spaces."""
+    good = [q for q in _PRIMES_BELOW_60 if (q - 1) % d == 0]
+    return st.builds(
+        lambda n, others, separator: separator.join(map(str, good[:n] + others)),
+        st.integers(0, 6),
+        st.sampled_from([(), (), (), (-3,), (0,), (1,), (4,), (9,), (25,), (59,), (7, 13), (13, 7)]).map(list),
+        st.sampled_from([",", " "]),
+    )
+
+
+def _draw_argv(data, command: str, files: Path) -> list[str]:
+    """Draw the options of ``command``, writing the files it reads into ``files``."""
+    if command == "local-hodge":  # k at most 8: the output lists (k - 1)^2 (d - 1) spectral numbers
+        argv = ["--k", data.draw(st.integers(-3, 8).map(str)), "--d", data.draw(_ints)]
+    elif command == "fermat":
+        argv = ["--d", data.draw(_ints)]
+    else:
+        arrangement, h3x = files / "arrangement.txt", files / "h3x.json"
+        text, d = data.draw(_arrangement_texts())
+        arrangement.write_text(text, encoding="utf-8")
+        argv = ["--arrangement", str(arrangement)]
+        if command == "h2f" or command == "check" and data.draw(st.booleans()):
+            h3x.write_text(data.draw(_h3_text(d)), encoding="utf-8")
+            argv += ["--h3x", str(h3x)]
+        if command in ("count", "hodge-from-counts"):
+            argv += ["--target", data.draw(st.sampled_from(["fiber", "complement"]))]
+            argv += ["--primes", data.draw(_prime_list(d))]
+            if data.draw(st.booleans()):
+                argv += ["--threads", data.draw(_ints)]
+        if command == "check" and data.draw(st.booleans()):
+            argv += ["--primes", data.draw(_prime_list(d))]
+        if command == "check" and data.draw(st.booleans()):
+            argv += ["--seed", data.draw(_ints)]
+    return [command, *argv] + (["--pretty"] if data.draw(st.booleans()) else [])
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_contract")
+
+
+@pytest.mark.parametrize(
+    "family",
+    [("combinatorics", "spectrum"), ("h2f", "check"), ("count", "hodge-from-counts"), ("local-hodge", "fermat")],
+    ids="+".join,
+)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_cli_contract(contract_dir, family, data):
+    argv = _draw_argv(data, data.draw(st.sampled_from(family)), contract_dir)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, pretty = stdout.getvalue(), "--pretty" in argv
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""  # usage errors go to stderr
+    elif code == 0:
+        assert pretty or isinstance(json.loads(out), dict)
+    elif argv[0] == "check" and not pretty and '"all_pass"' in out:
+        assert json.loads(out)["all_pass"] is False  # a failed consistency check is a report, not an error
+    elif not (argv[0] == "check" and pretty and out.endswith("SOME CHECKS FAILED\n")):
+        payload = json.loads(out)
+        assert list(payload) == ["error", "message"]
+        assert all(isinstance(v, str) for v in payload.values())
 
 
 def _src_env() -> dict[str, str]:

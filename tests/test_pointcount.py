@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
     LineArrangement,
-    ProjLine,
+    _canonical_triple,
     boolean_arrangement,
     ceva_arrangement,
     parse_arrangement,
@@ -59,11 +59,10 @@ def test_degenerate_prime_excluded(data_dir):
 
 
 def test_lines_off_canonical_form_reduce_by_their_content():
-    # 7x = 0 vanishes modulo 7 although 7 divides no canonical coefficient
-    arr = LineArrangement((ProjLine(7, 0, 0),))
-    with pytest.raises(BadPrime):
-        count_classes(arr, 7)
-    assert [f.p for f in good_primes(arr, 4)] == [2, 3, 5, 11]
+    # 7x = 0 is stored as x = 0, which no prime makes vanish
+    arr = LineArrangement(((7, 0, 0),))
+    assert arr.lines == ((1, 0, 0),)
+    assert [f.p for f in good_primes(arr, 4)] == [2, 3, 5, 7]
 
 
 # The reference for the bad modulus: the census of the reduced lines over F_q,
@@ -108,7 +107,7 @@ _PRIMES_BELOW_400 = [q for q in range(2, 400) if all(q % f for f in range(2, q))
 
 
 def _rational_mod(arr):
-    return lambda q: [tuple(v % q for v in line.coeffs) for line in arr.lines]
+    return lambda q: [tuple(v % q for v in line) for line in arr.lines]
 
 
 @pytest.mark.parametrize("coeff_bound", [2, 4, 9])
@@ -129,7 +128,7 @@ def test_bad_modulus_matches_census_mod_q_on_pencils(d):
         ([(k, 1, -1 - k) for k in range(-d // 2, d - d // 2)], (1, 2, 4)),
     ):
         for coeffs in (pencil, pencil + [extra]):
-            arr = LineArrangement(tuple(ProjLine.from_coeffs(*c) for c in coeffs))
+            arr = LineArrangement(tuple(coeffs))
             _assert_bad_modulus_matches_census(arr, _rational_mod(arr), _PRIMES_BELOW_400)
 
 
@@ -446,7 +445,7 @@ def test_complement_crosscheck_random_arrangements():
 
 
 _coeff = st.integers(-4, 4)
-_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: ProjLine.from_coeffs(*t))
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(_canonical_triple)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
