@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -231,6 +232,9 @@ def boolean_arrangement() -> LineArrangement:
 # ---------------------------------------------------------------------------
 # parsing
 
+# an integer in the input formats; int() alone also takes "1_0" and non-ASCII digits
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+
 
 def parse_arrangement(text: str) -> LineArrangement:
     """Parse the arrangement file format.
@@ -259,10 +263,9 @@ def parse_arrangement(text: str) -> LineArrangement:
             parts = chunk.split()
             if len(parts) != 3:
                 raise ParseError(f"expected three integers, got {chunk!r}")
-            try:
-                forms.append(tuple(int(p) for p in parts))
-            except ValueError as exc:
-                raise ParseError(f"non-integer coefficient in {chunk!r}") from exc
+            if not all(INTEGER_TOKEN.fullmatch(p) for p in parts):
+                raise ParseError(f"non-integer coefficient in {chunk!r}")
+            forms.append(tuple(int(p) for p in parts))
     if builtin is not None:
         return LineArrangement(builtin=builtin)
     return LineArrangement(tuple(forms))

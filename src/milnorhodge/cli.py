@@ -9,6 +9,7 @@ no timestamps, thread-count independent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,6 +20,7 @@ from .arrangement import (
     LineArrangement,
     epoly_V,
     intersection_data,
+    INTEGER_TOKEN,
     parse_arrangement,
     random_rational_arrangement,
     weak_comb_data,
@@ -193,10 +195,10 @@ def _cmd_h2f(args) -> int:
 
 def _parse_primes(text: str) -> list[int]:
     items = text.split(",") if text.strip() else []
-    try:  # an empty item between commas reaches int("") and is rejected
-        return [int(tok) for item in items for tok in item.split() or [""]]
-    except ValueError as exc:
-        raise MilnorHodgeError(f"bad prime list {text!r}") from exc
+    tokens = [tok for item in items for tok in item.split() or [""]]  # "" for an empty item
+    if not all(INTEGER_TOKEN.fullmatch(tok) for tok in tokens):
+        raise MilnorHodgeError(f"bad prime list {text!r}")
+    return [int(tok) for tok in tokens]
 
 
 def _count_payload(arr, args, extract: bool) -> dict:
@@ -336,6 +338,7 @@ def _cmd_check(args) -> int:
 # argument parsing
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")

@@ -21,12 +21,18 @@ d classes.  P^2(F_q) is the point (0 : 0 : 1) plus the q + 1 lines through
 it, the rows (1, r, z) for r < q and (0, 1, z).  On the row (s, t, z) a line
 with c != 0 has the value c (z + u), where u = (a s + b t) / c, so along the
 row its classes are class(c) plus the contiguous window T2[u : u + q] of the
-doubled table: a row is a sum of window copies, and the classes of the c's
-are added once, as a rotation of the folded histogram.  A line with c = 0
-modulo q is constant along each row and adds one value per row.  The rows
-are summed in blocks holding about 2^15 points into a reused buffer, and
-every block goes into one histogram of O(d^2) sums, so memory stays bounded
-as q grows.  Only the brute-force oracle multiplies values modulo q.
+doubled table; the classes of the c's are added once, as a rotation of the
+result.  A line with c = 0 modulo q adds one value per row, its flat sum.
+With three or more varying lines (c != 0) the windows are summed in blocks
+of about 2^15 points into a reused buffer and histogrammed together: O(d q^2)
+work in bounded memory.  With at most two, each live row is one base vector
+rotated by its flat sum.  One line gives (q - 1)/d points in every class and
+one zero.  Two, w and w + delta on the row, give (q - 1)/d points in each
+class 2 class(w) where they meet (delta = 0), and elsewhere H2 rotated by
+2 class(delta), where H2[s] counts x != 0, -1 with class(x) + class(x + 1) = s
+(cyclotomic numbers of order d).  A histogram of the rotations and an O(d^2)
+circular convolution add the rows up: O(q + d^2) work.  Only the brute-force
+oracle multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the lines stay
 distinct and nonzero and the intersection data are those over Z.  That is
@@ -243,22 +249,20 @@ _BLOCK_POINTS = 1 << 15
 
 
 def count_classes(arr: LineArrangement, q: int) -> CountTable:
-    """Exact census via one pass over P^2(F_q) (O(d q^2) work, memory bounded in q).
+    """Exact census via one pass over P^2(F_q), memory bounded in q.
 
     A projective point with Q-value v != 0 contributes its whole punctured
     cone line, q - 1 affine points all lying in the class of v; a projective
     zero of Q contributes q - 1 points with Q = 0, and the origin one more.
-    The q + 1 rows through (0 : 0 : 1) are summed as windows of the class
-    table in blocks of about ``_BLOCK_POINTS`` points (see the module
-    docstring); the point (0 : 0 : 1) itself is added by hand.
+    The q + 1 rows through (0 : 0 : 1) take O(d q^2) work, or O(q + d^2) when
+    at most two lines vary along them (see the module docstring); the point
+    (0 : 0 : 1) itself is added by hand.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     d = arr.d
     field, lines = _lines_mod_q(arr, q)
     table = _class_table(q, field.g, d)
-    zero = int(table[0])
     # row r is (s, t, z) with (s, t) = (1, r) for r < q and (0, 1) for r = q;
     # a line with c != 0 takes class(c) + T2[u : u + q] there, u = (a s + b t) / c
     s, t = np.ones(q + 1, dtype=np.intp), np.arange(q + 1, dtype=np.intp)
@@ -273,23 +277,8 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
             shift += int(table[c])
         else:
             flat += table[(a * s + b * t) % q]
-    window = sliding_window_view(table, q)
-    rows = max(1, _BLOCK_POINTS // q)
-    acc = np.empty((rows, q), dtype=table.dtype)
-    hist = np.zeros(zero + 1, dtype=np.int64)
-    for r0 in range(0, q + 1, rows):
-        out = acc[: min(rows, q + 1 - r0)]
-        out[...] = flat[r0 : r0 + rows, None]
-        for u in starts:
-            out += window[u[r0 : r0 + rows]]
-        np.minimum(out, zero, out=out)
-        hist += np.bincount(out.ravel(), minlength=zero + 1)
-
-    # a sum below Z is a class sum, so it lies in the class of its residue mod d
-    folded = np.zeros(d * d, dtype=np.int64)
-    folded[:zero] = hist[:zero]
-    classes = np.roll(folded.reshape(d, d).sum(axis=0), shift)
-    zeros = int(hist[zero])
+    classes, zeros = (_window_rows if len(starts) > 2 else _rotated_rows)(table, flat, starts, q, d)
+    classes = np.roll(classes, shift)
     # the point (0 : 0 : 1), where every line takes its value c
     if any(c == 0 for _, _, c in lines):
         zeros += 1
@@ -302,6 +291,51 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
         class_counts=tuple(int(n) * (q - 1) for n in classes),
         zero_count=zeros * (q - 1) + 1,
     )
+
+
+def _window_rows(table: np.ndarray, flat: np.ndarray, starts: list, q: int, d: int):
+    """Class histogram (before the rotation by class(c)) and zero count of the rows."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    zero = int(table[0])
+    window = sliding_window_view(table, q)
+    rows = max(1, _BLOCK_POINTS // q)
+    acc = np.empty((rows, q), dtype=table.dtype)
+    hist = np.zeros(zero + 1, dtype=np.int64)
+    for r0 in range(0, q + 1, rows):
+        out = acc[: min(rows, q + 1 - r0)]
+        out[...] = flat[r0 : r0 + rows, None]
+        for u in starts:
+            out += window[u[r0 : r0 + rows]]
+        np.minimum(out, zero, out=out)
+        hist += np.bincount(out.ravel(), minlength=zero + 1)
+    # a sum below Z is a class sum, so it lies in the class of its residue mod d
+    folded = np.zeros(d * d, dtype=np.int64)
+    folded[:zero] = hist[:zero]
+    return folded.reshape(d, d).sum(axis=0), int(hist[zero])
+
+
+def _rotated_rows(table: np.ndarray, flat: np.ndarray, starts: list, q: int, d: int):
+    """The same as ``_window_rows`` for at most two varying lines, row by rotated row."""
+    import numpy as np
+
+    live = flat < table[0]  # a flat line vanishing on a row makes all of it zero
+    zeros, n = q * (q + 1 - int(live.sum())), (q - 1) // d
+    if len(starts) < 2:  # (base vector, its rows, their rotations, zeros per row)
+        kinds = [(np.full(d, n) if starts else q * (np.arange(d) == 0), live, flat, len(starts))]
+    else:
+        delta = (starts[1] - starts[0]) % q
+        through = n * np.bincount(2 * np.arange(d) % d, minlength=d)
+        h2 = np.bincount((table[1 : q - 1] + table[2:q]) % d, minlength=d)
+        kinds = [(through, live & (delta == 0), flat, 1),
+                 (h2, live & (delta != 0), flat + 2 * table[delta], 2)]
+    circulant = (np.arange(d)[:, None] - np.arange(d)) % d  # column s: base rotated by s
+    classes = np.zeros(d, dtype=np.int64)
+    for base, rows, shifts, row_zeros in kinds:
+        classes += base[circulant] @ np.bincount(shifts[rows] % d, minlength=d)
+        zeros += row_zeros * int(rows.sum())
+    return classes, zeros
 
 
 def brute_force_count(arr: LineArrangement, q: int) -> CountTable:

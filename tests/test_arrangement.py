@@ -60,6 +60,13 @@ def test_parse_errors():
         parse_arrangement("1 0 0\nbuiltin: ceva\n")
 
 
+def test_parse_signed_ascii_integers_only():
+    assert parse_arrangement("+2 0 -1\n0 +1 0\n").lines == ((2, 0, -1), (0, 1, 0))
+    for token in ("1_0", "\u0663", "\uff11", "+-1", "0x1", "1.0", "+"):
+        with pytest.raises(ParseError, match="non-integer coefficient"):
+            parse_arrangement(f"1 {token} 0\n")
+
+
 def test_parse_ceva_builtin():
     arr = parse_arrangement("builtin: ceva\n")
     assert arr == ceva_arrangement()

@@ -183,18 +183,23 @@ def test_parse_error_code(capsys):
         ("1 0 0\n2 0 0\n", "duplicate_line", "line (1, 0, 0) appears twice after canonicalization"),
         ("1 0\n", "parse_error", "expected three integers, got '1 0'"),
         ("1 0 x\n", "parse_error", "non-integer coefficient in '1 0 x'"),
+        # int() takes these three; the file format takes ASCII [+-]?[0-9]+ only
+        ("1 1_0 1\n", "parse_error", "non-integer coefficient in '1 1_0 1'"),
+        ("1 \u0663 1\n", "parse_error", "non-integer coefficient in '1 \u0663 1'"),
+        ("1 -\uff11 1\n", "parse_error", "non-integer coefficient in '1 -\uff11 1'"),
         ("", "parse_error", "no lines found"),
         ("# only a comment\n", "parse_error", "no lines found"),
         ("builtin: nosuch\n", "parse_error", "unknown builtin arrangement 'nosuch'"),
         ("1 0 0\nbuiltin: ceva\n", "parse_error", "builtin directive must be the only content"),
         ("builtin: ceva\n1 0 0\n", "parse_error", "builtin directive must be the only content"),
     ],
-    ids=["zero", "duplicate", "two-numbers", "non-integer", "empty", "comment-only",
-         "unknown-builtin", "lines-then-builtin", "builtin-then-lines"],
+    ids=["zero", "duplicate", "two-numbers", "non-integer", "underscore", "arabic-indic-digit",
+         "fullwidth-digit", "empty", "comment-only", "unknown-builtin", "lines-then-builtin",
+         "builtin-then-lines"],
 )
 def test_arrangement_file_with_one_fault(capsys, tmp_path, text, code, message):
     path = tmp_path / "arrangement.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     rc, out = run_cli(capsys, "spectrum", "--arrangement", str(path))
     assert rc == 1
     assert json.loads(out) == {"error": code, "message": message}
@@ -382,6 +387,14 @@ def test_check_primes_are_checked_before_counting(capsys, monkeypatch, primes, m
 
 @pytest.mark.parametrize("primes", ["7,,13,19,31", "7,13,19,31,", ",7,13,19,31", "7, ,13,19,31"])
 def test_empty_prime_list_item_is_rejected(capsys, primes):
+    argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 1
+    assert json.loads(out) == {"error": "error", "message": f"bad prime list {primes!r}"}
+
+
+@pytest.mark.parametrize("primes", ["7,1_3,19,31", "7,\u0661\u0663,19,31", "7 13 19 \uff13\uff11"])
+def test_primes_are_ascii_decimal_integers(capsys, primes):
     argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
     rc, out = run_cli(capsys, *argv)
     assert rc == 1

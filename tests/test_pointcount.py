@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
@@ -466,6 +466,58 @@ def test_stratified_equals_brute_force_on_random_arrangements(lines):
         assert fast.zero_count == slow.zero_count
         checked += 1
     assume(checked)  # no good prime below 32: draw another arrangement
+
+
+# lines through (0:0:1) have c = 0 and stay constant along every row; the
+# others vary.  Coefficients c up to 14 make some forms vanish modulo q = 7, 11, 13
+_flat_line = st.tuples(_coeff, _coeff, st.just(0)).filter(any).map(_canonical_triple)
+_varying_line = st.tuples(_coeff, _coeff, st.integers(-14, 14).filter(bool)).map(_canonical_triple)
+_PRIMES_BELOW_200 = [q for q in range(2, 200) if all(q % f for f in range(2, math.isqrt(q) + 1))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_flat_line, max_size=5, unique=True), st.lists(_varying_line, max_size=2, unique=True))
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0)], [])  # a pencil of four lines: no line varies
+@example([(1, 0, 0)], [(1, 2, 7)])  # c = 7 vanishes modulo 7, where no line varies
+@example([(1, 0, 0), (0, 1, 0), (1, 2, 0)], [(1, 1, 1), (2, 1, 11)])  # d = 5, and c = 11
+@example([], [(1, 0, 1), (0, 1, 1)])  # d = 2, no flat line: no dead row
+@example([(1, -1, 0)], [(1, 0, 1), (0, 1, 1)])  # the flat line kills the row with delta = 0
+def test_rotated_rows_equal_the_window_kernel_and_brute_force(flat, varying):
+    # with at most two varying lines each row is a rotated base vector; the
+    # window kernel sums the same rows point by point, and the O(q^3) oracle
+    # enumerates F_q^3 at q < 60
+    from unittest import mock
+
+    import milnorhodge.pointcount as pointcount
+
+    assume(flat or varying)
+    arr = LineArrangement(tuple(flat + varying))
+    checked = 0
+    for q in _PRIMES_BELOW_200:
+        if (q - 1) % arr.d or arr.bad_modulus % q == 0:
+            continue
+        table = count_classes(arr, q)
+        with mock.patch.object(pointcount, "_rotated_rows", pointcount._window_rows):
+            assert count_classes(arr, q) == table, q
+        if q < 60:
+            assert brute_force_count(arr, q) == table, q
+        checked += 1
+        if checked == 4:
+            break
+    assume(checked)
+
+
+def test_boolean_counts_without_the_block_loop(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    def no_blocks(*args):
+        raise AssertionError("one varying line reached the block loop")
+
+    monkeypatch.setattr(pointcount, "_window_rows", no_blocks)
+    q = 1999
+    table = count_classes(boolean_arrangement(), q)
+    # xyz lies in each class on (q - 1)^3 / 3 points and vanishes on the rest
+    assert table == CountTable(q, PrimeField.make(q).g, 3, ((q - 1) ** 3 // 3,) * 3, q**3 - (q - 1) ** 3)
 
 
 # ---------------------------------------------------------------------------
