@@ -158,9 +158,6 @@ class WeakCombData:
     def counts(self) -> dict[int, int]:
         return dict(self.m)
 
-    def n_points(self) -> int:
-        return sum(n for _, n in self.m)
-
     def sum_mult_minus_one(self) -> int:
         return sum(n * (k - 1) for k, n in self.m)
 

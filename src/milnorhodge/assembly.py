@@ -5,8 +5,8 @@ X : Q(x, y, z) = t^d in P^3, whose isolated singularities sit over the
 multiple points of the arrangement.  Three relations assemble the equivariant
 Hodge tables of F from computable pieces:
 
-* the weight-1 part of the primitive H^2 of X comes from the weight-3 parts
-  of the local Milnor fibers minus the (externally supplied) H^3 data;
+* the weight-1 part of the primitive H^2 of X is the link H^1 summed over the
+  singular points minus the Poincare dual of the (externally supplied) H^3 data;
 * the weight-2 part compares X with its smoothing, the degree-d Fermat
   surface, via the vanishing-cohomology four-term exact sequence;
 * the nontrivial-character parts of H^1(F) and H^2(F) are the primitive
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arrangement import LineArrangement, WeakCombData, epoly_V, weak_comb_data
 from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
-from .localhodge import OrdinarySing, link_epoly, local_hodge_table
+from .localhodge import OrdinarySing, link_h1, local_hodge_table
 from .repring import HodgeTable, ReprClass
 
 __all__ = [
@@ -140,25 +140,15 @@ def _require_effective(table: HodgeTable, what: str) -> HodgeTable:
     return table
 
 
-def _common_degree(loc: HodgeTable, h3: SurfaceH3Data) -> int:
-    if loc.d != h3.d:
-        raise ValueError("local tables must share the arrangement degree")
-    return h3.d
-
-
 def primitive_h2_weight1(loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
     """Weight-1 part of primitive H^2 of X.
 
-    h^{p,q}(H^2_0(X), alpha) = sum_s h^{p+1,q+1}(H^2(F_s), alpha)
+    h^{p,q}(H^2_0(X), alpha) = sum_s h^{p,q}(H^1(K_s), alpha)
                                - h^{2-p,2-q}(H^3(X), conj(alpha))
-    for (p, q) in {(1,0), (0,1)}, with ``loc`` the sum over s (milnor_sum_table).
+    for (p, q) in {(1,0), (0,1)}, with ``loc`` the sum over s (milnor_sum_table);
+    mixed moduli raise ValueError.
     """
-    d = _common_degree(loc, h3)
-    entries = {
-        (1, 0): loc.entry(2, 1) - h3.table.entry(1, 2).involution(),
-        (0, 1): loc.entry(1, 2) - h3.table.entry(2, 1).involution(),
-    }
-    return _require_effective(HodgeTable(d, entries), "weight-1 part of H2_0(X)")
+    return _require_effective(link_h1(loc) - h3.table.poincare_dual(2), "weight-1 part of H2_0(X)")
 
 
 def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data) -> HodgeTable:
@@ -169,7 +159,6 @@ def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data)
         - sum_s (h^{p,q} + h^{p,q+1} + h^{p+1,q})(H^2(F_s), alpha)
     for p + q = 2, with out-of-range bidegrees read as zero.
     """
-    d = _common_degree(loc, h3)
     entries = {}
     for p, q in ((2, 0), (1, 1), (0, 2)):
         entries[(p, q)] = (
@@ -180,7 +169,7 @@ def primitive_h2_weight2(fermat: HodgeTable, loc: HodgeTable, h3: SurfaceH3Data)
             - loc.entry(p, q + 1)
             - loc.entry(p + 1, q)
         )
-    return _require_effective(HodgeTable(d, entries), "weight-2 part of H2_0(X)")
+    return _require_effective(HodgeTable(h3.d, entries), "weight-2 part of H2_0(X)")
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +350,15 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         ok = all(p + q != 4 for (p, q) in report.h2f.support())
         checks.append(CheckResult("no_weight4_in_H2F", ok, "H2(F) nontrivial part has no (p,q) with p+q=4"))
 
-        # localization identity: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - P(T*)
-        n_pts = w.n_points()
-        p_sigma = HodgeTable(d, {(0, 0): ReprClass.trivial(d, n_pts)})
-        p_tstar = HodgeTable(d, {})
-        for k, count in w.m:
-            p_tstar = p_tstar + link_epoly(OrdinarySing(k, d)).scale(count)
+        # localization: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - sum_s (H^0 - H^1 + H^2 - H^3)(K_s).
+        # For n points, P(Sigma) - D[P(Sigma)] and sum_s (H^0 - H^3)(K_s) are both n (0,0) - n (2,2)
+        # and cancel; H^2 = D[H^1] by link duality leaves h1k - D[h1k].
+        h1k = link_h1(milnor_sum_table(w))
         lhs = report.px - report.px.poincare_dual(2)
-        rhs = p_sigma - p_sigma.poincare_dual(2) - p_tstar
         checks.append(
             CheckResult(
                 "link_localization_identity",
-                lhs == rhs,
+                lhs == h1k - h1k.poincare_dual(2),
                 "P(X) minus its twisted dual matches the singular locus and link terms",
             )
         )

@@ -338,6 +338,13 @@ def _cmd_check(args) -> int:
 # argument parsing
 
 
+def _integer(text: str) -> int:
+    """argparse type: an ASCII decimal integer, read like arrangement files and --primes."""
+    if not INTEGER_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -346,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     counting.add_argument("--arrangement", required=True)
     counting.add_argument("--target", choices=("fiber", "complement"), required=True)
     counting.add_argument("--primes", required=True, help="comma-separated primes, all 1 mod d")
-    counting.add_argument("--threads", type=int, default=1, help="worker threads for counting")
+    counting.add_argument("--threads", type=_integer, default=1, help="worker threads for counting")
 
     parser = argparse.ArgumentParser(
         prog="milnorhodge",
@@ -359,12 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_combinatorics)
 
     p = sub.add_parser("local-hodge", parents=[common], help="local Milnor fiber Hodge table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_local_hodge)
 
     p = sub.add_parser("fermat", parents=[common], help="Fermat surface reference table")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_fermat)
 
     p = sub.add_parser("spectrum", parents=[common], help="arrangement spectrum from weak data")
@@ -388,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrangement", required=True)
     p.add_argument("--h3x", default=None)
     p.add_argument("--primes", default=None)
-    p.add_argument("--seed", type=int, default=0, help="seed for the random arrangement checks")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for the random arrangement checks")
     p.set_defaults(func=_cmd_check)
 
     return parser

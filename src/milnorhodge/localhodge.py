@@ -1,4 +1,4 @@
-"""Equivariant Hodge data of the local Milnor fibers and links.
+"""Equivariant Hodge data of the local Milnor fibers and their links.
 
 The degree-d cyclic cover surface over an arrangement acquires, above each
 intersection point of multiplicity k, an isolated singularity of type
@@ -21,7 +21,8 @@ on (a, b) only through s, which min(s-1, 2k-1-s) pairs reach.  So
 ``local_hodge_table`` counts each (p, q, character) as a difference of
 closed-form prefix sums, O(d) integer work, and ``local_spectrum`` lists the
 multiset from the (2k-3)(d-1) pairs (s, t).  The test suite pins both against
-the enumeration for every 2 <= k <= d <= 20.
+the enumeration for every 2 <= k <= d <= 20.  ``link_h1`` reads H^1 of the
+link off the weight-3 part; link duality and two trivial classes give the rest.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ __all__ = [
     "LocalHodgeTable",
     "milnor_basis",
     "local_hodge_table",
-    "link_hodge_tables",
-    "link_epoly",
+    "link_h1",
     "local_spectrum",
 ]
 
@@ -69,10 +69,6 @@ class MonomialDatum:
     char: int  # exponent of the character lam^char
     p: int
     q: int
-
-    @property
-    def weight(self) -> int:
-        return self.p + self.q
 
 
 def milnor_basis(sing: OrdinarySing) -> list[MonomialDatum]:
@@ -156,30 +152,11 @@ def local_spectrum(sing: OrdinarySing) -> tuple[Fraction, ...]:
     return tuple(ell for ell, n in grid for _ in range(n))
 
 
-def link_hodge_tables(sing: OrdinarySing) -> dict[int, HodgeTable]:
-    """Hodge tables of H^j of the singularity link, j = 0..3.
+def link_h1(loc: HodgeTable) -> HodgeTable:
+    """H^1 of the link K, pure of weight 1: h^{p,q}(H^1(K), alpha) = h^{p+1,q+1}(H^2(F_s), alpha).
 
     H^0 and H^3 are one-dimensional of types (0,0) and (2,2) with trivial
-    character.  H^1 (pure weight 1) comes from the weight-3 part of the local
-    Milnor fiber via h^{p,q}(H^1(K), alpha) = h^{p+1,q+1}(H^2(F_s), alpha).
-    H^2 (pure weight 3) is filled in by local duality,
-    h^{p,q}(H^2(K), alpha) = h^{2-p,2-q}(H^1(K), conj(alpha)),
-    i.e. the dual of H^1 twisted into the (2,2) top class; this choice is
-    validated by the global localization identity in the assembly checks.
+    character, and H^2 = ``link_h1(loc).poincare_dual(2)`` by link duality.
+    Linear in ``loc``: on ``milnor_sum_table(w)`` it is H^1 summed over all points.
     """
-    d = sing.d
-    loc = local_hodge_table(sing).table
-    h1 = HodgeTable(d, {(1, 0): loc.entry(2, 1), (0, 1): loc.entry(1, 2)})
-    h2 = HodgeTable(d, {(2, 1): h1.entry(0, 1).involution(), (1, 2): h1.entry(1, 0).involution()})
-    return {
-        0: HodgeTable(d, {(0, 0): ReprClass.trivial(d)}),
-        1: h1,
-        2: h2,
-        3: HodgeTable(d, {(2, 2): ReprClass.trivial(d)}),
-    }
-
-
-def link_epoly(sing: OrdinarySing) -> HodgeTable:
-    """Euler-alternating Hodge-Deligne polynomial of the link."""
-    tables = link_hodge_tables(sing)
-    return tables[0] - tables[1] + tables[2] - tables[3]
+    return HodgeTable(loc.d, {(1, 0): loc.entry(2, 1), (0, 1): loc.entry(1, 2)})

@@ -28,7 +28,7 @@ from milnorhodge.assembly import (
     trivial_tables,
 )
 from milnorhodge.errors import DegreeTooSmall, NegativeMultiplicity
-from milnorhodge.localhodge import OrdinarySing, local_hodge_table
+from milnorhodge.localhodge import OrdinarySing, link_h1, local_hodge_table
 from milnorhodge.repring import HodgeTable, ReprClass
 
 
@@ -414,7 +414,34 @@ def test_checks_fail_on_corrupted_h3(data_dir):
     h3 = SurfaceH3Data(HT.from_json_dict(blob))
     report = assemble_all(ceva_arrangement(), h3)
     failed = {c.name for c in report.checks if not c.passed}
-    assert "conjugation_symmetry" in failed
+    assert failed == {"conjugation_symmetry", "euler_characteristic_identity", "link_localization_identity"}
+
+
+def _literal_localization_rhs(w: WeakCombData) -> HodgeTable:
+    """P(Sigma) - D[P(Sigma)] - sum_s (H^0 - H^1 + H^2 - H^3)(K_s), term by term,
+    with each link's four groups written out from its local table."""
+    d = w.d
+    triv = ReprClass.trivial(d)
+    p_sigma = HodgeTable(d, {(0, 0): ReprClass.trivial(d, sum(count for _, count in w.m))})
+    out = p_sigma - p_sigma.poincare_dual(2)
+    for k, count in w.m:
+        loc = local_hodge_table(OrdinarySing(k, d)).table
+        h0 = HodgeTable(d, {(0, 0): triv})
+        h1 = HodgeTable(d, {(1, 0): loc.entry(2, 1), (0, 1): loc.entry(1, 2)})
+        h2 = HodgeTable(d, {(2, 1): loc.entry(1, 2).involution(), (1, 2): loc.entry(2, 1).involution()})
+        h3 = HodgeTable(d, {(2, 2): triv})
+        out = out - (h0 - h1 + h2 - h3).scale(count)
+    return out
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_weak_data() | st.integers(3, 40).map(lambda d: weak_comb_data(_near_pencil(d))))
+@example(WeakCombData.make(200, {199: 1, 2: 199}))
+def test_localization_check_reads_the_summed_link_h1(w):
+    # the check compares P(X) - D[P(X)] with h1k - D[h1k]; the literal
+    # right-hand side must agree on every census
+    h1k = link_h1(milnor_sum_table(w))
+    assert _literal_localization_rhs(w) == h1k - h1k.poincare_dual(2)
 
 
 def test_pencil_assembly_pins_h3_orientation():

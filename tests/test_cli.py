@@ -421,6 +421,26 @@ def test_thread_count_below_one_is_usage_error(capsys, threads):
     assert "--threads must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["local-hodge", "--k", "\u0663", "--d", "9"], "--k"),
+        (["local-hodge", "--k", "3", "--d", "1_0"], "--d"),
+        (["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
+          "--primes", "7,13,19,31", "--threads", "\u0662"], "--threads"),
+        (["check", "--arrangement", str(DATA / "boolean.txt"), "--seed", "\u0663"], "--seed"),
+    ],
+    ids=["k", "d", "threads", "seed"],
+)
+def test_integer_options_are_ascii_decimal(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {bad}: invalid integer" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -496,7 +516,7 @@ def test_check_corrupted_h3_fails_named_check(capsys):
     payload = json.loads(out)
     assert code == 1 and not payload["all_pass"]
     failed = {c["name"] for c in payload["checks"] if not c["pass"]}
-    assert "conjugation_symmetry" in failed
+    assert failed == {"conjugation_symmetry", "euler_characteristic_identity", "link_localization_identity"}
 
 
 def _failed_details(out: str) -> dict[str, str]:

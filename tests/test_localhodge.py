@@ -6,8 +6,7 @@ import pytest
 from milnorhodge.errors import InvalidSing
 from milnorhodge.localhodge import (
     OrdinarySing,
-    link_epoly,
-    link_hodge_tables,
+    link_h1,
     local_hodge_table,
     local_spectrum,
     milnor_basis,
@@ -134,29 +133,16 @@ def test_local_spectrum_examples():
 
 
 def test_link_tables_k3_d9():
-    tables = link_hodge_tables(OrdinarySing(3, 9))
-    assert tables[1] == HodgeTable(
+    h1 = link_h1(local_hodge_table(OrdinarySing(3, 9)).table)
+    assert h1 == HodgeTable(
         9, {(1, 0): ReprClass.character(9, 6), (0, 1): ReprClass.character(9, 3)}
     )
-    assert tables[2] == HodgeTable(
+    assert h1.poincare_dual(2) == HodgeTable(
         9, {(2, 1): ReprClass.character(9, 6), (1, 2): ReprClass.character(9, 3)}
     )
 
 
 def test_link_h1_empty_for_k2_d3():
-    tables = link_hodge_tables(OrdinarySing(2, 3))
-    assert tables[1].support() == []
-    assert tables[2].support() == []
-
-
-def test_link_ends_are_trivial_classes():
-    for k, d in ((2, 3), (3, 9), (4, 6)):
-        tables = link_hodge_tables(OrdinarySing(k, d))
-        assert tables[0] == HodgeTable(d, {(0, 0): ReprClass.trivial(d)})
-        assert tables[3] == HodgeTable(d, {(2, 2): ReprClass.trivial(d)})
-
-
-def test_link_epoly_alternates():
-    sing = OrdinarySing(3, 9)
-    tables = link_hodge_tables(sing)
-    assert link_epoly(sing) == tables[0] - tables[1] + tables[2] - tables[3]
+    h1 = link_h1(local_hodge_table(OrdinarySing(2, 3)).table)
+    assert h1.support() == []
+    assert h1.poincare_dual(2).support() == []
