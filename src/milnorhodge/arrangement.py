@@ -21,12 +21,13 @@ decides good reduction by one remainder.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import DuplicateLine, ParseError, ZeroForm
 from .repring import HodgeTable, ReprClass
@@ -48,18 +49,17 @@ __all__ = [
 Triple = tuple[int, int, int]
 
 
-def _canonical_triple(t: Sequence[int]) -> Triple:
-    a, b, c = (int(v) for v in t)
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    if g == 0:
+def _canonical_triple(a: int, b: int, c: int) -> Triple:
+    """The form divided by its content, signed so that its first nonzero entry is positive.
+
+    ``math.gcd`` reads each coefficient through ``__index__``: a float raises TypeError.
+    """
+    g = math.gcd(a, b, c)
+    if not g:
         raise ZeroForm("all three coefficients vanish")
-    a, b, c = a // g, b // g, c // g
-    for v in (a, b, c):
-        if v > 0:
-            return (a, b, c)
-        if v < 0:
-            return (-a, -b, -c)
-    raise AssertionError("unreachable")
+    if (a or b or c) < 0:
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,8 @@ class LineArrangement:
                 raise ParseError("builtin arrangements carry no explicit lines")
             return
         lines: dict[Triple, None] = {}
-        for line in map(_canonical_triple, self.lines):
+        for form in self.lines:
+            line = _canonical_triple(*map(operator.index, form))  # numpy integers become ints
             if line in lines:
                 raise DuplicateLine(f"line {line} appears twice after canonicalization")
             lines[line] = None
@@ -274,7 +275,7 @@ def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4
     while len(lines) < d:
         coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(3))
         if any(coeffs):
-            lines[_canonical_triple(coeffs)] = None
+            lines[_canonical_triple(*coeffs)] = None
     return LineArrangement(tuple(lines))
 
 
@@ -295,14 +296,20 @@ def intersection_data(arr: LineArrangement) -> dict[Triple | str, frozenset[int]
         return _ceva_points()
     forms = arr.lines
     incident: dict[Triple, set[int]] = {}
-    # _cross written out: the call costs 5-9% of this loop, which the spectrum route runs
     for i, (a1, b1, c1) in enumerate(forms):
         for j in range(i + 1, len(forms)):
             a2, b2, c2 = forms[j]
-            pt = _canonical_triple((b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
-            incident.setdefault(pt, set()).update((i, j))
+            pt = _canonical_triple(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2)
+            lines = incident.get(pt)
+            if lines is None:
+                incident[pt] = {i, j}
+            else:
+                lines.add(i)
+                lines.add(j)
     for (x, y, z), idx in incident.items():
-        assert all(a * x + b * y + c * z == 0 for a, b, c in (forms[i] for i in idx))
+        for i in idx:
+            a, b, c = forms[i]
+            assert a * x + b * y + c * z == 0
     return {pt: frozenset(incident[pt]) for pt in sorted(incident)}
 
 

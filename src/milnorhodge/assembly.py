@@ -124,10 +124,12 @@ class SurfaceH3Data:
 def milnor_sum_table(w: WeakCombData) -> HodgeTable:
     """Sum of the local Milnor-fiber tables over all singular points."""
     d = w.d
-    out = HodgeTable(d)
+    sums: dict[tuple[int, int], list[int]] = {}
     for k, count in w.m:
-        out = out + local_hodge_table(OrdinarySing(k, d)).table.scale(count)
-    return out
+        for pq, r in local_hodge_table(OrdinarySing(k, d)).table.entries.items():
+            acc = sums.get(pq, [0] * d)
+            sums[pq] = [a + count * m for a, m in zip(acc, r.mult)]
+    return HodgeTable(d, {pq: ReprClass(d, tuple(v)) for pq, v in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -241,31 +243,23 @@ def spectrum(w: WeakCombData) -> Spectrum:
     the result depends only on (d, m_k); the sum over all entries must equal
     chi(F) - 1 and is asserted.
     """
+    return _spectrum(w, milnor_sum_table(w))
+
+
+def _spectrum(w: WeakCombData, loc: HodgeTable) -> Spectrum:
+    """``spectrum(w)`` with ``loc = milnor_sum_table(w)`` already built."""
     d = w.d
     fermat = _fermat_table(d)
-    loc = milnor_sum_table(w)
-    m20 = fermat.entry(2, 0) - loc.entry(2, 0)
-    m11 = fermat.entry(1, 1) - loc.entry(1, 1) - loc.entry(1, 2)
-    m02 = fermat.entry(0, 2) - loc.entry(0, 2) - loc.entry(1, 2)
-
-    acc: dict[Fraction, int] = {}
-
-    def put(a: Fraction, m: int) -> None:
-        if m:
-            acc[a] = acc.get(a, 0) + m
-
-    put(Fraction(1), w.b2M)
-    put(Fraction(2), -w.b1M)
-    # m_3 is zero: nothing above weight 2 survives in the trivial part.
-
-    for j in range(1, d):
-        frac = Fraction(d - j, d)
-        i = d - j  # index of gamma = conj(beta)
-        put(frac, m20[j])
-        put(1 + frac, m11[i])
-        put(2 + frac, m02[j])
-
-    entries = tuple(sorted(acc.items()))
+    f20, f11, f02 = (fermat.entry(p, q).mult for p, q in ((2, 0), (1, 1), (0, 2)))
+    s20, s11, s12, s02 = (loc.entry(p, q).mult for p, q in ((2, 0), (1, 1), (1, 2), (0, 2)))
+    # a = i/d, 1, 1 + i/d, 2, 2 + i/d in ascending order; m_3 is zero, since
+    # nothing above weight 2 survives in the trivial part
+    low = [(Fraction(i, d), f20[d - i] - s20[d - i]) for i in range(1, d)]
+    mid = [(Fraction(d + i, d), f11[i] - s11[i] - s12[i]) for i in range(1, d)]
+    high = [(Fraction(2 * d + i, d), f02[d - i] - s02[d - i] - s12[d - i]) for i in range(1, d)]
+    entries = tuple(
+        (a, m) for a, m in (*low, (Fraction(1), w.b2M), *mid, (Fraction(2), -w.b1M), *high) if m
+    )
     total = sum(m for _, m in entries)
     chi_f = w.chiF
     if total != chi_f - 1:
@@ -311,12 +305,12 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
     """Spectrum, trivial parts and, given H^3 data, the full fiber tables."""
     w = weak_comb_data(arr)
     d = w.d
+    if h3 is not None and h3.d != d:
+        raise MilnorHodgeError(f"H3 data modulus {h3.d} differs from arrangement degree {d}")
+    loc = milnor_sum_table(w)  # built once: the spectrum, weight relations and checks share it
 
     h2x = h1f = h2f = px = pcf = None
     if h3 is not None:
-        if h3.d != d:
-            raise MilnorHodgeError(f"H3 data modulus {h3.d} differs from arrangement degree {d}")
-        loc = milnor_sum_table(w)
         h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
         h1f, h2f = fiber_tables(h2x, h3.table)
         px = _p2(d) + h2x - h3.table
@@ -324,7 +318,7 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
 
     report = AssemblyReport(
         weak=w,
-        spec=spectrum(w),
+        spec=_spectrum(w, loc),
         trivial=trivial_tables(w),
         h3=h3,
         h2x=h2x,
@@ -334,11 +328,14 @@ def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> Assem
         pcf=pcf,
         checks=(),
     )
-    return replace(report, checks=tuple(check_identities(report)))
+    return replace(report, checks=tuple(check_identities(report, loc)))
 
 
-def check_identities(report: AssemblyReport) -> list[CheckResult]:
-    """Weight purity, localization, conjugation and compact-support checks."""
+def check_identities(report: AssemblyReport, loc: HodgeTable) -> list[CheckResult]:
+    """Weight purity, localization, conjugation and compact-support checks.
+
+    ``loc`` is ``milnor_sum_table(report.weak)``; the localization check reads its link H^1.
+    """
     checks: list[CheckResult] = []
     w = report.weak
     d = w.d
@@ -353,7 +350,7 @@ def check_identities(report: AssemblyReport) -> list[CheckResult]:
         # localization: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - sum_s (H^0 - H^1 + H^2 - H^3)(K_s).
         # For n points, P(Sigma) - D[P(Sigma)] and sum_s (H^0 - H^3)(K_s) are both n (0,0) - n (2,2)
         # and cancel; H^2 = D[H^1] by link duality leaves h1k - D[h1k].
-        h1k = link_h1(milnor_sum_table(w))
+        h1k = link_h1(loc)
         lhs = report.px - report.px.poincare_dual(2)
         checks.append(
             CheckResult(

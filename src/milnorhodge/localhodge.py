@@ -18,17 +18,19 @@ x^a y^b z^c with 0 <= a, b <= k-2 and 0 <= c <= d-2.  Each monomial carries
 ``milnor_basis`` is this enumeration, the reference definition; no other
 function here walks it.  With s = a+b+2 and t = c+1, ell = s/k + t/d depends
 on (a, b) only through s, which min(s-1, 2k-1-s) pairs reach.  So
-``local_hodge_table`` counts each (p, q, character) as a difference of
-closed-form prefix sums, O(d) integer work, and ``local_spectrum`` lists the
-multiset from the (2k-3)(d-1) pairs (s, t).  The test suite pins both against
-the enumeration for every 2 <= k <= d <= 20.  ``link_h1`` reads H^1 of the
-link off the weight-3 part; link duality and two trivial classes give the rest.
+``local_hodge_table`` tabulates the running sums of these counts once and
+reads each (p, q, character) as a difference of two entries, O(k + d) integer
+steps, and ``local_spectrum`` lists the multiset from the (2k-3)(d-1) pairs
+(s, t).  The test suite pins both against the enumeration for every
+2 <= k <= d <= 20.  ``link_h1`` reads H^1 of the link off the weight-3 part;
+link duality and two trivial classes give the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import InvalidSing
 from .repring import HodgeTable, ReprClass
@@ -105,15 +107,6 @@ class LocalHodgeTable:
     table: HodgeTable
 
 
-def _pairs_upto(k: int, x: int) -> int:
-    """Number of (a', b') in [1, k-1]^2 with a' + b' <= x."""
-    if x <= k:
-        x = max(x, 0)
-        return x * (x - 1) // 2
-    y = max(2 * k - 2 - x, 0)
-    return (k - 1) ** 2 - y * (y + 1) // 2
-
-
 # bidegrees of ell in (0,1), {1}, (1,2), {2}, (2,3), in increasing order of ell
 _WINDOWS = ((2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
 
@@ -124,19 +117,20 @@ def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:
     For t = c+1 the monomials have character lam^{d-t} and ell = s/k + t/d
     with s = a+b+2.  Writing tk = whole*d + rem, ell < e exactly when
     s <= ek - 1 - whole, and ell <= e exactly when s <= ek - whole - [rem > 0];
-    the counts between these edges are differences of ``_pairs_upto``.
+    the counts between these edges are differences of upto[x], the number of
+    (a', b') in [1, k-1]^2 with a' + b' <= x, tabulated once for x in [0, 2k].
     """
     k, d = sing.k, sing.d
-    mult = {pq: [0] * d for pq in _WINDOWS}
+    upto = list(accumulate(max(0, min(s - 1, 2 * k - 1 - s)) for s in range(2 * k + 1)))
+    full = upto[2 * k]
+    m20, m21, m11, m12, m02 = mult = [[0] * d for _ in _WINDOWS]
     for t in range(1, d):
         whole, rem = divmod(t * k, d)
-        edges = [k - 1 - whole, k - whole - (rem > 0), 2 * k - 1 - whole, 2 * k - whole - (rem > 0)]
-        cumulative = [_pairs_upto(k, x) for x in edges] + [(k - 1) ** 2]
-        prev = 0
-        for pq, upto in zip(_WINDOWS, cumulative):
-            mult[pq][d - t] = upto - prev
-            prev = upto
-    table = HodgeTable(d, {pq: ReprClass(d, tuple(m)) for pq, m in mult.items()})
+        lt, le = k - 1 - whole, k - whole - (rem > 0)  # edges of ell < 1 and ell <= 1; + k for 2
+        e1, e2, e3, e4 = upto[lt], upto[le], upto[lt + k], upto[le + k]
+        j = d - t  # the character lam^j
+        m20[j], m21[j], m11[j], m12[j], m02[j] = e1, e2 - e1, e3 - e2, e4 - e3, full - e4
+    table = HodgeTable(d, {pq: ReprClass(d, tuple(m)) for pq, m in zip(_WINDOWS, mult)})
     assert table.total_dim() == sing.milnor_number
     return LocalHodgeTable(sing, table)
 

@@ -77,8 +77,21 @@ def test_line_canonical_form():
     assert LineArrangement(((-2, 4, -6), (0, -3, -9))).lines == ((1, -2, 3), (0, 1, 3))
 
 
+@pytest.mark.parametrize("coeff", [1.5, 2.0, Fraction(3, 1), "1"])
+def test_non_integer_coefficients_raise_instead_of_truncating(coeff):
+    with pytest.raises(TypeError):
+        LineArrangement(((coeff, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_integer_like_coefficients_become_python_ints():
+    np = pytest.importorskip("numpy")
+    arr = LineArrangement(((np.int64(-4), np.int64(2), True), (0, 1, 0)))
+    assert arr.lines == ((4, -2, -1), (0, 1, 0))
+    assert all(type(v) is int for line in arr.lines for v in line)
+
+
 _coeff = st.integers(-9, 9)
-_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(_canonical_triple)
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: _canonical_triple(*t))
 # what may follow a written form: newlines, "/" separators and "#" comments
 _separators = st.sampled_from(["\n", "/", " / ", "\n# note 1 2 3 / 4 5 6\n", "\n\n  # note\n"])
 
@@ -138,18 +151,43 @@ def _scaled(point):
 
 
 _small = st.integers(-4, 4)
-_small_lines = st.tuples(_small, _small, _small).filter(any).map(_canonical_triple)
+_small_lines = st.tuples(_small, _small, _small).filter(any).map(lambda t: _canonical_triple(*t))
 # a pencil of lines through (0 : 0 : 1) plus a few other lines, most of them off its centre
 _near_pencils = st.tuples(
     st.lists(_small, min_size=2, max_size=7, unique=True),
     st.lists(_small_lines, min_size=1, max_size=3),
 ).map(lambda t: list(dict.fromkeys([(1, k, 0) for k in t[0]] + t[1])))
+# forms as written, not canonical: coefficients up to 10^40 (cross products near 10^80),
+# and small forms scaled so that their first nonzero coefficient is negative
+_huge = st.integers(-(10**40), 10**40)
+_huge_forms = st.tuples(_huge, _huge, _huge).filter(any)
+_negative_leading_forms = st.tuples(_small_lines, st.integers(-(10**40), -1)).map(
+    lambda t: tuple(t[1] * v for v in t[0])
+)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.lists(_small_lines, min_size=2, max_size=10, unique=True), _near_pencils))
+def _one_per_line(forms):
+    """The forms minus those proportional to an earlier one."""
+    first = {}
+    for form in forms:
+        first.setdefault(_canonical_triple(*form), form)
+    return list(first.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(_small_lines, min_size=2, max_size=10, unique=True),
+        _near_pencils,
+        st.lists(_huge_forms, min_size=2, max_size=10).map(_one_per_line),
+        st.lists(_negative_leading_forms | _huge_forms, min_size=2, max_size=10).map(_one_per_line),
+    ).filter(lambda forms: len(forms) >= 2)
+)
 def test_intersection_data_matches_the_rational_oracle(lines):
     arr = LineArrangement(tuple(lines))
+    for line, form in zip(arr.lines, lines):  # content one, first nonzero positive, same line
+        assert math.gcd(*line) == 1 and next(v for v in line if v) > 0
+        assert _scaled(line) == _scaled(form)
     pts = intersection_data(arr)
     assert list(pts) == sorted(pts)
     assert {_scaled(pt): set(idx) for pt, idx in pts.items()} == _brute_force_pairwise(arr.lines)

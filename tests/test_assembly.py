@@ -326,6 +326,55 @@ def test_spectrum_sum_rule_and_symmetry_on_random_weak_data(w):
     assert milnor_sum_table(w).is_conjugation_symmetric()
 
 
+def _spectrum_entries_by_put(w):
+    """The spectrum entries as the dict-and-sort construction built them, kept as an oracle."""
+    d = w.d
+    fermat = fermat_surface_table(d)
+    loc = milnor_sum_table(w)
+    m20 = fermat.entry(2, 0) - loc.entry(2, 0)
+    m11 = fermat.entry(1, 1) - loc.entry(1, 1) - loc.entry(1, 2)
+    m02 = fermat.entry(0, 2) - loc.entry(0, 2) - loc.entry(1, 2)
+
+    acc = {}
+
+    def put(a, m):
+        if m:
+            acc[a] = acc.get(a, 0) + m
+
+    put(Fraction(1), w.b2M)
+    put(Fraction(2), -w.b1M)
+    for j in range(1, d):
+        frac = Fraction(d - j, d)
+        i = d - j
+        put(frac, m20[j])
+        put(1 + frac, m11[i])
+        put(2 + frac, m02[j])
+    return tuple(sorted(acc.items()))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_weak_data())
+@example(WeakCombData.make(200, {199: 1, 2: 199}))
+def test_spectrum_entries_come_out_in_ascending_order(w):
+    entries = spectrum(w).entries
+    assert all(a < b for (a, _), (b, _) in zip(entries, entries[1:]))
+    assert entries == _spectrum_entries_by_put(w)
+
+
+@pytest.mark.parametrize("h3", [None, ceva_h3()], ids=["spectrum only", "with H3"])
+def test_assembly_builds_each_local_table_once(monkeypatch, h3):
+    calls = []
+
+    def counting(sing):
+        calls.append((sing.k, sing.d))
+        return local_hodge_table(sing)
+
+    monkeypatch.setattr("milnorhodge.assembly.local_hodge_table", counting)
+    report = assemble_all(ceva_arrangement(), h3)
+    assert report.all_pass()
+    assert calls == [(3, 9)]
+
+
 def _spectrum_via_chain(arr, h3):
     """Recompute the spectrum from the fully assembled fiber tables."""
     report = assemble_all(arr, h3)

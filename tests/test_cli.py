@@ -805,18 +805,30 @@ def test_module_invocation_matches_golden():
     assert proc.stdout == (GOLDEN / "fermat_9.json").read_text()
 
 
-def test_spectrum_does_not_import_numpy():
-    # only point counting needs numpy; the weak-data route must not pay for its import
+# the commands that never count points, each with its golden output
+_WEAK_DATA_RUNS = [
+    (["spectrum", "--arrangement", str(DATA / "ceva.txt")], "spectrum_ceva.json"),
+    (["combinatorics", "--arrangement", str(DATA / "boolean.txt")], "combinatorics_boolean.json"),
+    (
+        ["h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(DATA / "ceva_h3x.json")],
+        "h2f_ceva.json",
+    ),
+    (["local-hodge", "--k", "3", "--d", "9"], "local_hodge_3_9.json"),
+    (["fermat", "--d", "9"], "fermat_9.json"),
+]
+
+
+def test_weak_data_commands_do_not_import_numpy():
+    # only point counting needs numpy; the other commands must not pay for its import
     import subprocess
     import sys
 
-    script = (
-        "import sys\n"
-        "from milnorhodge import cli\n"
-        f"code = cli.main(['spectrum', '--arrangement', {str(DATA / 'ceva.txt')!r}])\n"
-        "assert code == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
-    )
+    script = "import sys\nfrom milnorhodge import cli\n"
+    for argv, _ in _WEAK_DATA_RUNS:
+        script += (
+            f"assert cli.main({argv!r}) == 0\n"
+            f"assert 'numpy' not in sys.modules, 'numpy was imported by {argv[0]}'\n"
+        )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "spectrum_ceva.json").read_text()
+    assert proc.stdout == "".join((GOLDEN / name).read_text() for _, name in _WEAK_DATA_RUNS)

@@ -445,7 +445,7 @@ def test_complement_crosscheck_random_arrangements():
 
 
 _coeff = st.integers(-4, 4)
-_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(_canonical_triple)
+_lines = st.tuples(_coeff, _coeff, _coeff).filter(any).map(lambda t: _canonical_triple(*t))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -470,8 +470,10 @@ def test_stratified_equals_brute_force_on_random_arrangements(lines):
 
 # lines through (0:0:1) have c = 0 and stay constant along every row; the
 # others vary.  Coefficients c up to 14 make some forms vanish modulo q = 7, 11, 13
-_flat_line = st.tuples(_coeff, _coeff, st.just(0)).filter(any).map(_canonical_triple)
-_varying_line = st.tuples(_coeff, _coeff, st.integers(-14, 14).filter(bool)).map(_canonical_triple)
+_flat_line = st.tuples(_coeff, _coeff, st.just(0)).filter(any).map(lambda t: _canonical_triple(*t))
+_varying_line = st.tuples(_coeff, _coeff, st.integers(-14, 14).filter(bool)).map(
+    lambda t: _canonical_triple(*t)
+)
 _PRIMES_BELOW_200 = [q for q in range(2, 200) if all(q % f for f in range(2, math.isqrt(q) + 1))]
 
 
