@@ -3,10 +3,15 @@
 A line ax + by + cz = 0 is its integer triple (a, b, c) in canonical form (gcd
 one, first nonzero coefficient positive), enforced in one place: the
 ``LineArrangement`` constructor, which also rejects zero, repeated and missing
-forms.  Intersection points come from pairwise cross products over Z, so the
-rank-2 incidence map (point -> indices of its lines) is exact; every
-downstream Hodge quantity consumes only the resulting weak combinatorial data
-(the line count d and the census m_k of points of multiplicity k).
+forms.  Pairwise cross products over Z give ``intersection_data``, the exact
+rank-2 incidence map (point -> indices of its lines), which serves the
+``combinatorics`` command, the bad modulus and the ``weak_data_pair_count``
+check.  Every downstream Hodge quantity consumes only the weak combinatorial
+data (the line count d and the census m_k of points of multiplicity k), and
+these are counted without points: on each line the later lines fall into
+groups by where they meet it, a point of multiplicity k gives one group of
+each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the number of
+groups of size s.
 
 Arrangements whose natural defining forms are not rational (the Ceva
 arrangement needs cube roots of unity) are named builtins that generate their
@@ -314,7 +319,21 @@ def intersection_data(arr: LineArrangement) -> dict[Triple | str, frozenset[int]
 
 
 def weak_comb_data(arr: LineArrangement) -> WeakCombData:
-    return WeakCombData.make(arr.d, Counter(map(len, intersection_data(arr).values())))
+    """The census from groups: on each line i, the later lines grouped by where they meet i."""
+    if arr.builtin == "ceva":
+        return WeakCombData.make(arr.d, Counter(map(len, intersection_data(arr).values())))
+    forms, gcd, keys = arr.lines, math.gcd, []
+    for i, (a1, b1, c1) in enumerate(forms):
+        # key the meeting point by two coordinates; line i fixes the third
+        if c1:  # (x, y)
+            pairs = [(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2) for a2, b2, c2 in forms[i + 1 :]]
+        elif b1:  # (x, z)
+            pairs = [(b1 * c2, a1 * b2 - b1 * a2) for a2, b2, c2 in forms[i + 1 :]]
+        else:  # on the line x = 0 the point is (0 : -c2 : b2)
+            pairs = [(b2, c2) for _, b2, c2 in forms[i + 1 :]]
+        keys += [(i, u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs]
+    groups = Counter(Counter(keys).values())
+    return WeakCombData.make(arr.d, {s + 1: n - groups[s + 1] for s, n in groups.items()})
 
 
 def epoly_V(w: WeakCombData) -> HodgeTable:

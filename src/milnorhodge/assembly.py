@@ -68,12 +68,7 @@ def _fermat_table(d: int) -> HodgeTable:
         h02[k] = math.comb(d - k - 1, 2)
         h11[k] = total - h20[k] - h02[k]
         assert h11[k] >= 0
-    entries = {
-        (2, 0): ReprClass(d, tuple(h20)),
-        (1, 1): ReprClass(d, tuple(h11)),
-        (0, 2): ReprClass(d, tuple(h02)),
-    }
-    return HodgeTable(d, entries)
+    return HodgeTable(d, {(2, 0): ReprClass(d, h20), (1, 1): ReprClass(d, h11), (0, 2): ReprClass(d, h02)})
 
 
 def fermat_surface_table(d: int) -> HodgeTable:
@@ -129,7 +124,7 @@ def milnor_sum_table(w: WeakCombData) -> HodgeTable:
         for pq, r in local_hodge_table(OrdinarySing(k, d)).table.entries.items():
             acc = sums.get(pq, [0] * d)
             sums[pq] = [a + count * m for a, m in zip(acc, r.mult)]
-    return HodgeTable(d, {pq: ReprClass(d, tuple(v)) for pq, v in sums.items()})
+    return HodgeTable(d, {pq: ReprClass(d, v) for pq, v in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +253,7 @@ def _spectrum(w: WeakCombData, loc: HodgeTable) -> Spectrum:
     mid = [(Fraction(d + i, d), f11[i] - s11[i] - s12[i]) for i in range(1, d)]
     high = [(Fraction(2 * d + i, d), f02[d - i] - s02[d - i] - s12[d - i]) for i in range(1, d)]
     entries = tuple(
-        (a, m) for a, m in (*low, (Fraction(1), w.b2M), *mid, (Fraction(2), -w.b1M), *high) if m
+        [(a, m) for a, m in (*low, (Fraction(1), w.b2M), *mid, (Fraction(2), -w.b1M), *high) if m]
     )
     total = sum(m for _, m in entries)
     chi_f = w.chiF

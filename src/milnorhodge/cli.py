@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import assembly, pointcount
@@ -276,7 +277,10 @@ def _cmd_check(args) -> int:
         primes = [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
     checks: list[assembly.CheckResult] = []
     w = weak_comb_data(arr)
-    checks.append(assembly.CheckResult("weak_data_pair_count", True, "census covers every line pair"))
+    points = dict(sorted(Counter(map(len, intersection_data(arr).values())).items()))
+    ok = w.counts == points
+    detail = "census covers every line pair" if ok else f"groups {w.counts} vs points {points}"
+    checks.append(assembly.CheckResult("weak_data_pair_count", ok, detail))
     checks.append(
         assembly.CheckResult("chiF_multiplicativity", w.chiF == w.d * w.chiM, f"chiF={w.chiF}")
     )

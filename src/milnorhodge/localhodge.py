@@ -130,7 +130,7 @@ def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:
         e1, e2, e3, e4 = upto[lt], upto[le], upto[lt + k], upto[le + k]
         j = d - t  # the character lam^j
         m20[j], m21[j], m11[j], m12[j], m02[j] = e1, e2 - e1, e3 - e2, e4 - e3, full - e4
-    table = HodgeTable(d, {pq: ReprClass(d, tuple(m)) for pq, m in zip(_WINDOWS, mult)})
+    table = HodgeTable(d, {pq: ReprClass(d, m) for pq, m in zip(_WINDOWS, mult)})
     assert table.total_dim() == sing.milnor_number
     return LocalHodgeTable(sing, table)
 

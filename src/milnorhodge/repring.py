@@ -43,7 +43,7 @@ class ReprClass:
     """Virtual mu_d-representation: mult[k] = multiplicity of C_{lam^k}."""
 
     d: int
-    mult: tuple[int, ...]
+    mult: tuple[int, ...]  # given as any sized sequence of integers
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", operator.index(self.d))
@@ -51,19 +51,20 @@ class ReprClass:
             raise ValueError("modulus must be >= 1")
         if len(self.mult) != self.d:
             raise ValueError("multiplicity vector must have length d")
-        object.__setattr__(self, "mult", tuple(map(operator.index, self.mult)))
+        # through a list: a tuple built from an iterator of unknown length grows by reallocation
+        object.__setattr__(self, "mult", tuple([*map(operator.index, self.mult)]))
 
     # -- constructors
 
     @classmethod
     def zero(cls, d: int) -> "ReprClass":
-        return cls(d, (0,) * d)
+        return cls(d, [0] * d)
 
     @classmethod
     def character(cls, d: int, k: int, n: int = 1) -> "ReprClass":
         mult = [0] * d
         mult[k % d] = n
-        return cls(d, tuple(mult))
+        return cls(d, mult)
 
     @classmethod
     def trivial(cls, d: int, n: int = 1) -> "ReprClass":
@@ -73,17 +74,17 @@ class ReprClass:
 
     def __add__(self, other: "ReprClass") -> "ReprClass":
         self._check(other)
-        return ReprClass(self.d, tuple(a + b for a, b in zip(self.mult, other.mult)))
+        return ReprClass(self.d, [a + b for a, b in zip(self.mult, other.mult)])
 
     def __sub__(self, other: "ReprClass") -> "ReprClass":
         self._check(other)
-        return ReprClass(self.d, tuple(a - b for a, b in zip(self.mult, other.mult)))
+        return ReprClass(self.d, [a - b for a, b in zip(self.mult, other.mult)])
 
     def __neg__(self) -> "ReprClass":
-        return ReprClass(self.d, tuple(-a for a in self.mult))
+        return ReprClass(self.d, [-a for a in self.mult])
 
     def __mul__(self, n: int) -> "ReprClass":
-        return ReprClass(self.d, tuple(n * a for a in self.mult))
+        return ReprClass(self.d, [n * a for a in self.mult])
 
     __rmul__ = __mul__
 
@@ -109,7 +110,7 @@ class ReprClass:
     def involution(self) -> "ReprClass":
         """Duality C_alpha -> C_{conj(alpha)}: mult[k] -> mult[(d-k) mod d]."""
         d = self.d
-        return ReprClass(d, tuple(self.mult[(d - k) % d] for k in range(d)))
+        return ReprClass(d, [self.mult[(d - k) % d] for k in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ class HodgeTable:
             key = (_json_int(item["p"]), _json_int(item["q"]))
             if key in entries:
                 raise ValueError("duplicate (p, q) entry in table JSON")
-            entries[key] = ReprClass(d, tuple(_json_int(v) for v in item["mult"]))
+            entries[key] = ReprClass(d, [_json_int(v) for v in item["mult"]])
         return cls(d, entries)
 
     def __repr__(self) -> str:
@@ -302,4 +303,4 @@ def decode_characters(traces: Sequence[int]) -> ReprClass:
                 f"trace vector is not a virtual character of mu_{d} (fails at j={g % d})"
             )
         by_gcd[g] = total // d
-    return ReprClass(d, tuple(by_gcd[math.gcd(j, d)] for j in range(d)))
+    return ReprClass(d, [by_gcd[math.gcd(j, d)] for j in range(d)])

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA
 from milnorhodge.arrangement import (
     LineArrangement,
     WeakCombData,
@@ -174,15 +176,16 @@ def _one_per_line(forms):
     return list(first.values())
 
 
+_rational_forms = st.one_of(
+    st.lists(_small_lines, min_size=2, max_size=10, unique=True),
+    _near_pencils,
+    st.lists(_huge_forms, min_size=2, max_size=10).map(_one_per_line),
+    st.lists(_negative_leading_forms | _huge_forms, min_size=2, max_size=10).map(_one_per_line),
+).filter(lambda forms: len(forms) >= 2)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(
-    st.one_of(
-        st.lists(_small_lines, min_size=2, max_size=10, unique=True),
-        _near_pencils,
-        st.lists(_huge_forms, min_size=2, max_size=10).map(_one_per_line),
-        st.lists(_negative_leading_forms | _huge_forms, min_size=2, max_size=10).map(_one_per_line),
-    ).filter(lambda forms: len(forms) >= 2)
-)
+@given(_rational_forms)
 def test_intersection_data_matches_the_rational_oracle(lines):
     arr = LineArrangement(tuple(lines))
     for line, form in zip(arr.lines, lines):  # content one, first nonzero positive, same line
@@ -225,6 +228,59 @@ def test_weak_data_generic_positions():
         arr = random_rational_arrangement(rng, rng.randint(2, 6))
         w = weak_comb_data(arr)
         assert sum(n * math.comb(k, 2) for k, n in w.m) == math.comb(arr.d, 2)
+
+
+def _point_census(arr):
+    return WeakCombData.make(arr.d, Counter(map(len, intersection_data(arr).values())))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_rational_forms)
+def test_group_census_equals_point_census(lines):
+    arr = LineArrangement(tuple(lines))
+    assert weak_comb_data(arr) == _point_census(arr)
+
+
+def _near_pencil(d):
+    """d - 1 lines through (0 : 0 : 1), with the line z = 0 among them in the middle."""
+    lines = [(1, k, 0) for k in range(d - 1)]
+    lines.insert(d // 2, (0, 0, 1))
+    return LineArrangement(tuple(lines))
+
+
+@pytest.mark.parametrize(
+    "arr, census",
+    [
+        (LineArrangement(tuple((1, k, 0) for k in range(6))), {6: 1}),
+        (LineArrangement(((1, 2, 3), (0, 1, 0))), {2: 1}),
+        (boolean_arrangement(), {2: 3}),
+        (parse_arrangement((DATA / "pappus.txt").read_text()), {2: 9, 3: 9}),
+        (parse_arrangement((DATA / "nonpappus.txt").read_text()), {2: 9, 3: 9}),
+    ]
+    + [(_near_pencil(d), dict(Counter({d - 1: 1}) + Counter({2: d - 1}))) for d in range(3, 36)],
+    ids=["pencil", "two lines", "boolean", "pappus", "nonpappus"] + [f"near-pencil{d}" for d in range(3, 36)],
+)
+def test_group_census_examples(arr, census):
+    assert weak_comb_data(arr).counts == census
+    assert _point_census(arr).counts == census
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        [(1, 2, 3), (1, 0, 1), (0, 1, 1), (1, 1, 2), (0, 0, 1)],  # through (1 : 1 : -1)
+        [(1, 2, 0), (0, 5, 1), (1, 7, 1), (3, 1, -1), (0, 0, 1)],  # through (2 : -1 : 5)
+        [(1, 0, 0), (0, 1, -1), (1, 1, -1), (2, 1, -1), (0, 0, 1)],  # through (0 : 1 : 1)
+    ],
+    ids=["c nonzero", "c zero, b nonzero", "the line x = 0"],
+)
+def test_group_census_in_each_key_branch(forms):
+    # the first line keys the later lines by (x, y), (x, z) and (y, z) respectively;
+    # it and the next three lines meet in one quadruple point
+    arr = LineArrangement(tuple(forms))
+    assert arr.lines == tuple(forms)
+    w = weak_comb_data(arr)
+    assert w == _point_census(arr) and w.counts[4] == 1
 
 
 def test_weak_data_rejects_bad_census():

@@ -542,6 +542,18 @@ def test_check_reports_local_dimension_law_numbers(capsys, monkeypatch):
     assert _failed_details(out) == {"local_dimension_law_k2": "table total 1 vs Milnor number 2"}
 
 
+def test_check_reports_both_censuses_when_they_differ(capsys, monkeypatch):
+    from milnorhodge import cli
+
+    # the point census of a pencil of three lines against the boolean arrangement's groups
+    monkeypatch.setattr(cli, "intersection_data", lambda arr: {(0, 0, 1): frozenset({0, 1, 2})})
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 1
+    assert _failed_details(out) == {"weak_data_pair_count": "groups {2: 3} vs points {3: 1}"}
+    code, text = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--pretty")
+    assert "FAIL  weak_data_pair_count  (groups {2: 3} vs points {3: 1})" in text.splitlines()
+
+
 def test_check_reports_first_differing_count(capsys, monkeypatch):
     from milnorhodge import pointcount
 

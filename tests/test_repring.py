@@ -288,3 +288,26 @@ def test_numpy_integer_moduli_are_accepted_as_python_ints():
     assert r == ReprClass(3, (1, 2, 3)) and type(r.d) is int
     table = HodgeTable(np.int32(3), {(1, 1): r})
     assert table == HodgeTable(3, {(1, 1): r}) and type(table.d) is int
+
+
+def test_multiplicity_vectors_are_stored_as_tuples_of_ints():
+    import numpy as np
+
+    vectors = (np.array([1, -2, 3], dtype=np.int64), [np.int32(1), np.int64(-2), 3], (True, False, 1))
+    for mult in vectors:
+        r = ReprClass(3, mult)
+        assert type(r.mult) is tuple and all(type(m) is int for m in r.mult)
+    assert ReprClass(3, [True, False, True]) == ReprClass(3, (1, 0, 1))
+    with pytest.raises(TypeError):
+        ReprClass(3, [1, 2.0, 3])
+    r, s = ReprClass(3, [1, -2, 3]), ReprClass(3, np.array([4, 5, 6]))
+    built = (r + s, r - s, -r, r * np.int64(2), 2 * r, r.involution(), ReprClass.zero(3), ReprClass.character(3, 1))
+    for out in built:
+        assert type(out.mult) is tuple and all(type(m) is int for m in out.mult)
+    assert (r + s, r - s, -r, 2 * r, r.involution()) == (
+        ReprClass(3, (5, 3, 9)),
+        ReprClass(3, (-3, -7, -3)),
+        ReprClass(3, (-1, 2, -3)),
+        ReprClass(3, (2, -4, 6)),
+        ReprClass(3, (1, 3, -2)),
+    )
