@@ -235,8 +235,10 @@ def boolean_arrangement() -> LineArrangement:
 # ---------------------------------------------------------------------------
 # parsing
 
-# an integer in the input formats; int() alone also takes "1_0" and non-ASCII digits
-INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+# an integer in the input formats; int() alone also takes "1_0" and non-ASCII digits.  At most
+# 2000 digits: a cross product then has at most 4001, below the interpreter's int-to-str limit
+MAX_DIGITS = 2000
+INTEGER_TOKEN = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def parse_arrangement(text: str) -> LineArrangement:
@@ -267,6 +269,8 @@ def parse_arrangement(text: str) -> LineArrangement:
             if len(parts) != 3:
                 raise ParseError(f"expected three integers, got {chunk!r}")
             if not all(INTEGER_TOKEN.fullmatch(p) for p in parts):
+                if len(longest := max(parts, key=len)) > MAX_DIGITS:
+                    raise ParseError(f"coefficient of {len(longest)} characters; at most {MAX_DIGITS} digits")
                 raise ParseError(f"non-integer coefficient in {chunk!r}")
             forms.append(tuple(int(p) for p in parts))
     if builtin is not None:

@@ -17,15 +17,21 @@ relations makes the H^3 terms cancel against their conjugates, leaving, per
 fractional exponent a, a Fermat-surface multiplicity minus a local census.
 The sum rule (total = reduced Euler characteristic of F) is asserted on every
 run; together with the reference fixtures it pins the sign conventions.
+``consistency_checks`` builds all of the ``check`` command: these identities
+and second routes through the weak data, local tables and point counts.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arrangement import LineArrangement, WeakCombData, epoly_V, weak_comb_data
+from . import pointcount
+from .arrangement import LineArrangement, WeakCombData, epoly_V, intersection_data, weak_comb_data
+from .arrangement import random_rational_arrangement
 from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
 from .localhodge import OrdinarySing, link_h1, local_hodge_table
 from .repring import HodgeTable, ReprClass
@@ -44,6 +50,7 @@ __all__ = [
     "spectrum",
     "assemble_all",
     "check_identities",
+    "consistency_checks",
 ]
 
 
@@ -410,4 +417,61 @@ def check_identities(report: AssemblyReport, loc: HodgeTable) -> list[CheckResul
             f"sum {report.spec.total()} == chi(F) - 1 = {w.chiF - 1}",
         )
     )
+    return checks
+
+
+def _first_count_difference(fast, brute) -> str:
+    """The first count where the fast census and the oracle differ, or ''.
+
+    Twisted counts are a function of the class counts, so they need no check.
+    """
+    pairs = [("zero_count", fast.zero_count, brute.zero_count)]
+    pairs += [(f"class_counts[{j}]", *ab) for j, ab in enumerate(zip(fast.class_counts, brute.class_counts))]
+    return next((f"{name}: fast {a} vs brute force {b}" for name, a, b in pairs if a != b), "")
+
+
+def consistency_checks(
+    arr: LineArrangement, h3: SurfaceH3Data | None, primes: list[int], seed: int
+) -> list[CheckResult]:
+    """Every entry of the ``check`` command, in its order: weak data, local tables,
+    ``assemble_all`` (one ``assembly`` entry if it raises), the sum rule on five
+    arrangements drawn from ``seed``, and the point counts at ``primes``."""
+    w = weak_comb_data(arr)
+    d = w.d
+    points = dict(sorted(Counter(map(len, intersection_data(arr).values())).items()))
+    ok = w.counts == points
+    detail = "census covers every line pair" if ok else f"groups {w.counts} vs points {points}"
+    checks = [CheckResult("weak_data_pair_count", ok, detail)]
+    # chi(F) = chi(X) - chi(V), chi(X) the smoothing's d^3 - 4d^2 + 6d less the Milnor numbers
+    milnor = sum(n * (k - 1) ** 2 * (d - 1) for k, n in w.m)
+    chi_f = d**3 - 4 * d**2 + 6 * d - milnor - (2 * d - w.sum_mult_minus_one())
+    detail = f"chiF={w.chiF}" if w.chiF == chi_f else f"d*chi(M)={w.chiF} vs smoothing {chi_f}"
+    checks.append(CheckResult("chiF_multiplicativity", w.chiF == chi_f, detail))
+    for k, _ in w.m:
+        sing = OrdinarySing(k, d)
+        total = local_hodge_table(sing).table.total_dim()
+        ok = total == sing.milnor_number
+        detail = "" if ok else f"table total {total} vs Milnor number {sing.milnor_number}"
+        checks.append(CheckResult(f"local_dimension_law_k{k}", ok, detail))
+    try:
+        checks.extend(assemble_all(arr, h3).checks)
+    except MilnorHodgeError as exc:
+        checks.append(CheckResult("assembly", False, f"{exc.code}: {exc}"))
+    rng = random.Random(seed)
+    ok, detail = True, ""
+    for _ in range(5):
+        try:
+            spectrum(weak_comb_data(random_rational_arrangement(rng, rng.randint(3, 6))))
+        except MilnorHodgeError as exc:
+            ok, detail = False, str(exc)
+            break
+    checks.append(CheckResult("random_weak_data_sum_rule", ok, detail))
+    for q in primes:
+        fast = pointcount.count_classes(arr, q)
+        if q <= 50:
+            detail = _first_count_difference(fast, pointcount.brute_force_count(arr, q))
+            checks.append(CheckResult(f"count_oracle_q{q}", not detail, detail))
+        counted, expected = pointcount.complement_count(fast), w.charpoly_value(q)
+        ok = counted == expected
+        checks.append(CheckResult(f"complement_charpoly_q{q}", ok, f"{counted} vs {expected}"))
     return checks

@@ -3,7 +3,8 @@
 Every command prints one JSON document on stdout (or a human-readable sketch
 with --pretty) and exits 0 on success, 1 on a domain error (with a structured
 error object), 2 on usage errors.  Output is deterministic: fixed key order,
-no timestamps, thread-count independent.
+no timestamps, thread-count independent.  Handlers only read, validate and
+print: even the ``check`` suite is built in ``assembly.consistency_checks``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import assembly, pointcount
@@ -23,7 +22,6 @@ from .arrangement import (
     intersection_data,
     INTEGER_TOKEN,
     parse_arrangement,
-    random_rational_arrangement,
     weak_comb_data,
 )
 from .errors import MilnorHodgeError, ParseError
@@ -50,6 +48,8 @@ def _load_h3(path: str) -> assembly.SurfaceH3Data:
         table = HodgeTable.from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to read") from exc
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path} is not an H3 table: missing or malformed {exc}") from exc
     except ValueError as exc:
@@ -74,19 +74,6 @@ def _table_lines(table: HodgeTable) -> list[str]:
 
 def _check_payload(checks) -> list[dict]:
     return [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in checks]
-
-
-def _first_count_difference(fast, brute) -> str:
-    """The first count where the fast census and the oracle differ, or ''.
-
-    Twisted counts are a function of the class counts, so they need no check.
-    """
-    pairs = [("zero_count", fast.zero_count, brute.zero_count)]
-    pairs += [
-        (f"class_counts[{j}]", a, b)
-        for j, (a, b) in enumerate(zip(fast.class_counts, brute.class_counts))
-    ]
-    return next((f"{name}: fast {a} vs brute force {b}" for name, a, b in pairs if a != b), "")
 
 
 # ---------------------------------------------------------------------------
@@ -275,55 +262,8 @@ def _cmd_check(args) -> int:
         pointcount.check_primes(arr, primes)
     else:
         primes = [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
-    checks: list[assembly.CheckResult] = []
-    w = weak_comb_data(arr)
-    points = dict(sorted(Counter(map(len, intersection_data(arr).values())).items()))
-    ok = w.counts == points
-    detail = "census covers every line pair" if ok else f"groups {w.counts} vs points {points}"
-    checks.append(assembly.CheckResult("weak_data_pair_count", ok, detail))
-    checks.append(
-        assembly.CheckResult("chiF_multiplicativity", w.chiF == w.d * w.chiM, f"chiF={w.chiF}")
-    )
-    for k, _ in w.m:
-        sing = OrdinarySing(k, w.d)
-        total = local_hodge_table(sing).table.total_dim()
-        ok = total == sing.milnor_number
-        detail = "" if ok else f"table total {total} vs Milnor number {sing.milnor_number}"
-        checks.append(assembly.CheckResult(f"local_dimension_law_k{k}", ok, detail))
-
     h3 = _load_h3(args.h3x) if args.h3x else None
-    try:
-        report = assembly.assemble_all(arr, h3)
-        checks.extend(report.checks)
-    except MilnorHodgeError as exc:
-        checks.append(assembly.CheckResult("assembly", False, f"{exc.code}: {exc}"))
-
-    rng = random.Random(args.seed)
-    ok = True
-    detail = ""
-    for _ in range(5):
-        sample = random_rational_arrangement(rng, rng.randint(3, 6))
-        try:
-            assembly.spectrum(weak_comb_data(sample))
-        except MilnorHodgeError as exc:
-            ok, detail = False, str(exc)
-            break
-    checks.append(assembly.CheckResult("random_weak_data_sum_rule", ok, detail))
-
-    for q in primes:
-        fast = pointcount.count_classes(arr, q)
-        if q <= 50:
-            brute = pointcount.brute_force_count(arr, q)
-            detail = _first_count_difference(fast, brute)
-            checks.append(assembly.CheckResult(f"count_oracle_q{q}", not detail, detail))
-        counted = pointcount.complement_count(fast)
-        expected = w.charpoly_value(q)
-        checks.append(
-            assembly.CheckResult(
-                f"complement_charpoly_q{q}", counted == expected, f"{counted} vs {expected}"
-            )
-        )
-
+    checks = assembly.consistency_checks(arr, h3, primes, args.seed)
     all_pass = all(c.passed for c in checks)
     payload = {
         "arrangement": arr.describe(),

@@ -1,12 +1,16 @@
+import json
 import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ceva_h3
+from conftest import DATA, ceva_h3
+from milnorhodge import assembly, pointcount
 from milnorhodge.arrangement import (
     LineArrangement,
     WeakCombData,
@@ -19,6 +23,7 @@ from milnorhodge.assembly import (
     SurfaceH3Data,
     assemble_all,
     check_identities,
+    consistency_checks,
     fermat_surface_table,
     fiber_tables,
     milnor_sum_table,
@@ -27,8 +32,8 @@ from milnorhodge.assembly import (
     spectrum,
     trivial_tables,
 )
-from milnorhodge.errors import DegreeTooSmall, NegativeMultiplicity
-from milnorhodge.localhodge import OrdinarySing, link_h1, local_hodge_table
+from milnorhodge.errors import DegreeTooSmall, NegativeMultiplicity, SumRuleViolation
+from milnorhodge.localhodge import LocalHodgeTable, OrdinarySing, link_h1, local_hodge_table
 from milnorhodge.repring import HodgeTable, ReprClass
 
 
@@ -528,3 +533,100 @@ def test_milnor_sum_table_matches_explicit_list():
     for t in _ceva_locals():
         explicit = explicit + t.table
     assert total == explicit
+
+
+# ---------------------------------------------------------------------------
+# the consistency suite: two routes agree, and every check can fail
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [ceva_arrangement()]
+    + [_near_pencil(d) for d in range(2, 20)]
+    + [random_rational_arrangement(random.Random(seed), 1 + seed % 12, 2 + seed % 3) for seed in range(40)],
+)
+def test_chiF_routes_agree(arr):
+    # d chi(M) against the smoothing: chi(X) minus the Milnor numbers, minus chi(V)
+    (entry,) = [c for c in consistency_checks(arr, None, [], 0) if c.name == "chiF_multiplicativity"]
+    assert entry == assembly.CheckResult("chiF_multiplicativity", True, f"chiF={weak_comb_data(arr).chiF}")
+
+
+def _suite(h3=None):
+    return consistency_checks(boolean_arrangement(), h3, [7], 0)
+
+
+def _corrupted(edit):
+    """check_identities on Ceva's assembly after ``edit`` replaced some fields of its report."""
+    report = assemble_all(ceva_arrangement(), ceva_h3())
+    return check_identities(replace(report, **edit(report)), milnor_sum_table(report.weak))
+
+
+def _one_more(table: HodgeTable, p: int, q: int) -> HodgeTable:
+    return table + HodgeTable(9, {(p, q): ReprClass.character(9, 1)})
+
+
+def _patched(monkeypatch, target, name, value):
+    monkeypatch.setattr(target, name, value)
+    return _suite()
+
+
+def _point_moved(arr, q, real=pointcount.brute_force_count):
+    t = real(arr, q)
+    return replace(t, class_counts=(t.class_counts[0], t.class_counts[1] + 1, t.class_counts[2] - 1))
+
+
+def _raise_sum_rule(w):
+    raise SumRuleViolation("spectrum sums to 1, expected chi(F) - 1 = 0")
+
+
+def _corrupt_h3():
+    blob = json.loads((DATA / "ceva_h3x_corrupt.json").read_text())
+    return consistency_checks(ceva_arrangement(), SurfaceH3Data(HodgeTable.from_json_dict(blob)), [], 0)
+
+
+# check kind -> a run of the suite (or of check_identities) in which that kind fails
+_WITNESSES = {
+    "weak_data_pair_count": lambda mp: _patched(
+        mp, assembly, "intersection_data", lambda arr: {(0, 0, 1): frozenset({0, 1, 2})}
+    ),
+    "chiF_multiplicativity": lambda mp: _patched(
+        mp, WeakCombData, "chiM", property(lambda w: 2 - w.b1M + w.b2M)
+    ),
+    "local_dimension_law_k*": lambda mp: _patched(
+        mp, assembly, "local_hodge_table", lambda sing: LocalHodgeTable(sing, HodgeTable(sing.d))
+    ),
+    "assembly": lambda mp: _suite(SurfaceH3Data.zero(5)),
+    "link_localization_identity": lambda mp: _corrupt_h3(),
+    "conjugation_symmetry": lambda mp: _corrupt_h3(),
+    "euler_characteristic_identity": lambda mp: _corrupt_h3(),
+    "weight1_purity": lambda mp: _corrupted(lambda r: {"h1f": _one_more(r.h1f, 2, 0)}),
+    "no_weight4_in_H2F": lambda mp: _corrupted(lambda r: {"h2f": _one_more(r.h2f, 2, 2)}),
+    "compact_support_identity": lambda mp: _corrupted(lambda r: {"pcf": _one_more(r.pcf, 0, 0)}),
+    "spectrum_sum_rule": lambda mp: _corrupted(lambda r: {"spec": replace(r.spec, entries=r.spec.entries[1:])}),
+    "random_weak_data_sum_rule": lambda mp: _patched(mp, assembly, "spectrum", _raise_sum_rule),
+    "count_oracle_q*": lambda mp: _patched(mp, pointcount, "brute_force_count", _point_moved),
+    "complement_charpoly_q*": lambda mp: _patched(mp, WeakCombData, "charpoly_value", lambda w, t: -1),
+}
+# these four restate how the assembly builds its tables, so no input can make them fail: a
+# report whose tables were corrupted after assembly stands in for a wrong assembly
+_STRUCTURAL = {"weight1_purity", "no_weight4_in_H2F", "compact_support_identity", "spectrum_sum_rule"}
+
+
+def _kind(name: str) -> str:
+    """The check name with its multiplicity or prime replaced by ``*``."""
+    return re.sub(r"_([kq])[0-9]+$", r"_\1*", name)
+
+
+@pytest.mark.parametrize(
+    "kind", [pytest.param(k, id=f"{k}-structural" if k in _STRUCTURAL else k) for k in _WITNESSES]
+)
+def test_each_check_kind_has_a_failing_witness(monkeypatch, kind):
+    entries = [c for c in _WITNESSES[kind](monkeypatch) if _kind(c.name) == kind]
+    assert entries and not any(c.passed for c in entries)
+
+
+def test_every_check_name_has_a_witness(golden_dir):
+    kinds = {"assembly"}
+    for name in ("check_boolean.json", "h2f_ceva.json"):
+        kinds |= {_kind(c["name"]) for c in json.loads((golden_dir / name).read_text())["checks"]}
+    assert kinds == set(_WITNESSES)

@@ -192,10 +192,13 @@ def test_parse_error_code(capsys):
         ("builtin: nosuch\n", "parse_error", "unknown builtin arrangement 'nosuch'"),
         ("1 0 0\nbuiltin: ceva\n", "parse_error", "builtin directive must be the only content"),
         ("builtin: ceva\n1 0 0\n", "parse_error", "builtin directive must be the only content"),
+        # at most 2000 digits; int() itself refuses more than 4300
+        (f"{'1' * 2001} 0 1\n", "parse_error", "coefficient of 2001 characters; at most 2000 digits"),
+        (f"{'1' * 4400} 0 1\n", "parse_error", "coefficient of 4400 characters; at most 2000 digits"),
     ],
     ids=["zero", "duplicate", "two-numbers", "non-integer", "underscore", "arabic-indic-digit",
          "fullwidth-digit", "empty", "comment-only", "unknown-builtin", "lines-then-builtin",
-         "builtin-then-lines"],
+         "builtin-then-lines", "2001-digits", "4400-digits"],
 )
 def test_arrangement_file_with_one_fault(capsys, tmp_path, text, code, message):
     path = tmp_path / "arrangement.txt"
@@ -393,7 +396,10 @@ def test_empty_prime_list_item_is_rejected(capsys, primes):
     assert json.loads(out) == {"error": "error", "message": f"bad prime list {primes!r}"}
 
 
-@pytest.mark.parametrize("primes", ["7,1_3,19,31", "7,\u0661\u0663,19,31", "7 13 19 \uff13\uff11"])
+@pytest.mark.parametrize(
+    "primes",
+    ["7,1_3,19,31", "7,\u0661\u0663,19,31", "7 13 19 \uff13\uff11", pytest.param("7," + "1" * 4400, id="4400-digits")],
+)
 def test_primes_are_ascii_decimal_integers(capsys, primes):
     argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", primes]
     rc, out = run_cli(capsys, *argv)
@@ -429,8 +435,9 @@ def test_thread_count_below_one_is_usage_error(capsys, threads):
         (["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
           "--primes", "7,13,19,31", "--threads", "\u0662"], "--threads"),
         (["check", "--arrangement", str(DATA / "boolean.txt"), "--seed", "\u0663"], "--seed"),
+        (["local-hodge", "--k", "1" * 2001, "--d", "9"], "--k"),
     ],
-    ids=["k", "d", "threads", "seed"],
+    ids=["k", "d", "threads", "seed", "k-2001-digits"],
 )
 def test_integer_options_are_ascii_decimal(capsys, argv, bad):
     with pytest.raises(SystemExit) as exc:
@@ -439,6 +446,32 @@ def test_integer_options_are_ascii_decimal(capsys, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {bad}: invalid integer" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# oversized input: integers of at most 2000 digits, so that every printed integer stays printable
+
+
+def test_combinatorics_prints_points_of_the_longest_coefficients(capsys, tmp_path):
+    # the lines (c, 1, 0) and (1, c, 1) meet at (1, -c, c^2 - 1)
+    path = tmp_path / "arrangement.txt"
+    c = 10**2000 - 1
+    path.write_text(f"{c} 1 0\n1 {c} 1\n")
+    rc, out = run_cli(capsys, "combinatorics", "--arrangement", str(path))
+    assert rc == 0
+    assert json.loads(out)["points"][0]["point"] == [1, -c, c * c - 1]  # 4000 digits
+    path.write_text(f"{'7' * 3000} 1 0\n1 {'7' * 3000} 1\n")
+    rc, out = run_cli(capsys, "combinatorics", "--arrangement", str(path))
+    assert rc == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_deeply_nested_h3_json_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text("[" * 200_000)
+    rc, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
+    assert rc == 1
+    assert json.loads(out) == {"error": "parse_error", "message": f"{path} nests too deeply to read"}
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +557,18 @@ def _failed_details(out: str) -> dict[str, str]:
 
 
 def test_check_reports_local_dimension_law_numbers(capsys, monkeypatch):
-    from milnorhodge import cli
+    from milnorhodge import assembly
     from milnorhodge.localhodge import LocalHodgeTable
     from milnorhodge.repring import HodgeTable, ReprClass
 
-    real = cli.local_hodge_table
+    real = assembly.local_hodge_table
 
     def one_short(sing):
         table = real(sing).table
         key = table.support()[0]
         return LocalHodgeTable(sing, table - HodgeTable(sing.d, {key: ReprClass.trivial(sing.d)}))
 
-    monkeypatch.setattr(cli, "local_hodge_table", one_short)
+    monkeypatch.setattr(assembly, "local_hodge_table", one_short)
     code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
     assert code == 1
     # boolean: double points of a 3-line arrangement, Milnor number (2-1)^2 (3-1) = 2
@@ -543,10 +576,10 @@ def test_check_reports_local_dimension_law_numbers(capsys, monkeypatch):
 
 
 def test_check_reports_both_censuses_when_they_differ(capsys, monkeypatch):
-    from milnorhodge import cli
+    from milnorhodge import assembly
 
     # the point census of a pencil of three lines against the boolean arrangement's groups
-    monkeypatch.setattr(cli, "intersection_data", lambda arr: {(0, 0, 1): frozenset({0, 1, 2})})
+    monkeypatch.setattr(assembly, "intersection_data", lambda arr: {(0, 0, 1): frozenset({0, 1, 2})})
     code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
     assert code == 1
     assert _failed_details(out) == {"weak_data_pair_count": "groups {2: 3} vs points {3: 1}"}
@@ -662,11 +695,11 @@ def test_options_go_only_to_commands_that_read_them(capsys, argv):
 
 
 def test_check_reads_seed(capsys, monkeypatch):
-    from milnorhodge import cli
+    from milnorhodge import assembly
 
     seeds = []
-    real = cli.random.Random
-    monkeypatch.setattr(cli.random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    real = assembly.random.Random
+    monkeypatch.setattr(assembly.random, "Random", lambda seed: seeds.append(seed) or real(seed))
     code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--seed", "3")
     assert code == 0 and seeds == [3]
     # the random sum-rule check reports no detail when it passes, so any seed gives the golden bytes
@@ -680,7 +713,7 @@ _PRIMES_BELOW_60 = [q for q in range(2, 60) if all(q % f for f in range(2, q))]
 # coefficients in [-4, 4], zero one time in three, so that lines meet in points of high multiplicity
 _COEFFS = ["0", "0", "0", "0", "1", "-1", "2", "-2", "3", "-3", "4", "-4"]
 _GARBAGE = ["x", "1.5", "0x7", "--", "#", "/", "builtin:", "\u00e9", "", "1 2", str(10**40), str(-(7**50)), "+3",
-            "1_0", "\u0663", "1e3"]
+            "1_0", "\u0663", "1e3", "9" * 2001]
 _SEPARATORS = ["\n", "/", " / ", "\n# note 1 2 3 / 4 5 6\n", "\n\n  "]
 _BUILTINS = ["builtin: ceva\n", "builtin: nosuch\n", "builtin:\n", "builtin: ceva\nbuiltin: ceva\n",
              "1 0 0\nbuiltin: ceva\n", "# builtin: ceva\n1 0 0\n"]
@@ -713,7 +746,7 @@ def _arrangement_texts(draw) -> tuple[str, int]:
 
 @functools.cache
 def _h3_text(d: int):
-    """An H3 file: Ceva's, a table for degree d (often valid), a JSON tree or text."""
+    """An H3 file: Ceva's, a table for degree d (often valid), a JSON tree, text or 200,000 open brackets."""
     entry = st.builds(
         lambda pq, mult: {"p": pq[0], "q": pq[1], "mult": mult},
         st.sampled_from([(2, 1), (1, 2), (2, 0)]),
@@ -721,17 +754,20 @@ def _h3_text(d: int):
     )
     table = st.fixed_dictionaries({"d": st.sampled_from([d, d, 0, 9]), "entries": st.lists(entry, max_size=2)})
     ceva = (DATA / "ceva_h3x.json").read_text()
-    return st.one_of(st.just(ceva), table.map(json.dumps), _JSON_TREES.map(json.dumps), st.text(max_size=8))
+    trees = _JSON_TREES.map(json.dumps)
+    return st.one_of(st.just(ceva), table.map(json.dumps), trees, st.text(max_size=8), st.just("[" * 200_000))
 
 
 @functools.cache
 def _prime_list(d: int):
-    """The first n primes = 1 mod d below 60 and up to two other numbers, joined by commas or spaces."""
+    """The first n primes = 1 mod d below 60 and up to two other numbers (one of 2001 digits), joined by commas
+    or spaces."""
     good = [q for q in _PRIMES_BELOW_60 if (q - 1) % d == 0]
     return st.builds(
         lambda n, others, separator: separator.join(map(str, good[:n] + others)),
         st.integers(0, 6),
-        st.sampled_from([(), (), (), (-3,), (0,), (1,), (4,), (9,), (25,), (59,), (7, 13), (13, 7)]).map(list),
+        st.sampled_from([(), (), (), (-3,), (0,), (1,), (4,), (9,), (25,), (59,), (7, 13), (13, 7), (10**2000,)])
+        .map(list),
         st.sampled_from([",", " "]),
     )
 
