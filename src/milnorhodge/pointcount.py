@@ -24,15 +24,19 @@ row its classes are class(c) plus the contiguous window T2[u : u + q] of the
 doubled table; the classes of the c's are added once, as a rotation of the
 result.  A line with c = 0 modulo q adds one value per row, its flat sum.
 With three or more varying lines (c != 0) the windows are summed in blocks
-of about 2^15 points into a reused buffer and histogrammed together: O(d q^2)
-work in bounded memory.  With at most two, each live row is one base vector
-rotated by its flat sum.  One line gives (q - 1)/d points in every class and
-one zero.  Two, w and w + delta on the row, give (q - 1)/d points in each
-class 2 class(w) where they meet (delta = 0), and elsewhere H2 rotated by
-2 class(delta), where H2[s] counts x != 0, -1 with class(x) + class(x + 1) = s
-(cyclotomic numbers of order d).  A histogram of the rotations and an O(d^2)
-circular convolution add the rows up: O(q + d^2) work.  Only the brute-force
-oracle multiplies values modulo q.
+of about 2^15 points into a reused buffer and histogrammed together.  Lines
+of one slope class, the same b/c, start on the row r < q at u = a/c + r b/c:
+fixed offsets apart.  So each class of two or more lines is summed once into
+a doubled table and read as one window; only on the row r = q, where the
+class meets, are its lines summed one by one.  That is O(g q^2) work in
+bounded memory, g the number of slopes.  With at most two varying lines,
+each live row is one base vector rotated by its flat sum.  One line gives
+(q - 1)/d points in every class and one zero.  Two, w and w + delta on the
+row, give (q - 1)/d points in each class 2 class(w) where they meet
+(delta = 0), and elsewhere H2 rotated by 2 class(delta), where H2[s] counts
+x != 0, -1 with class(x) + class(x + 1) = s (cyclotomic numbers of order d).
+A histogram of the rotations and an O(d^2) circular convolution add the rows
+up: O(q + d^2) work.  Only the brute-force oracle multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the lines stay
 distinct and nonzero and the intersection data are those over Z.  That is
@@ -79,9 +83,12 @@ __all__ = [
     "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
+    "MAX_PRIME",
 ]
 
 DEFAULT_PRIME_BOUND = 100_000
+# the largest prime counted at: building its class table peaks near 60 bytes per element, 120 MiB
+MAX_PRIME = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -89,16 +96,20 @@ DEFAULT_PRIME_BOUND = 100_000
 
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin: the first twelve primes as bases decide every n < 3.18 * 10^23."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in witnesses:
         if n % p == 0:
             return n == p
-    f = 37
-    while f * f <= n:
-        if n % f == 0:
+    if n < 41 * 41:  # no prime factor up to 37 and below 41^2: prime
+        return True
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
+    for a in witnesses[: 3 if n < 25_326_001 else None]:  # three decide every n < 25,326,001
+        x = pow(a, (n - 1) >> twos, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(twos)):
             return False
-        f += 2
     return True
 
 
@@ -168,8 +179,11 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
 def _lines_mod_q(arr: LineArrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
     """F_q and the forms of ``arr`` reduced modulo q.
 
-    BadPrime unless q is a prime = 1 (mod d) at which the reduction is good.
+    BadPrime unless q is a prime = 1 (mod d) at which the reduction is good,
+    and at most MAX_PRIME.
     """
+    if q > MAX_PRIME:
+        raise BadPrime(f"{q} is above the counting bound {MAX_PRIME}")
     if (q - 1) % arr.d != 0:
         raise BadPrime(f"{q} is not 1 modulo {arr.d}")
     field = PrimeField.make(q)
@@ -254,9 +268,9 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     A projective point with Q-value v != 0 contributes its whole punctured
     cone line, q - 1 affine points all lying in the class of v; a projective
     zero of Q contributes q - 1 points with Q = 0, and the origin one more.
-    The q + 1 rows through (0 : 0 : 1) take O(d q^2) work, or O(q + d^2) when
-    at most two lines vary along them (see the module docstring); the point
-    (0 : 0 : 1) itself is added by hand.
+    The q + 1 rows through (0 : 0 : 1) take O(g q^2) work for g distinct
+    slopes b/c, or O(q + d^2) when at most two lines vary along them (see the
+    module docstring); the point (0 : 0 : 1) itself is added by hand.
     """
     import numpy as np
 
@@ -293,21 +307,45 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     )
 
 
+def _slope_classes(starts: list, q: int) -> list[list]:
+    """The row starts of the varying lines, grouped by the slope b/c: the start u[q] on row q."""
+    classes: dict[int, list] = {}
+    for u in starts:
+        classes.setdefault(int(u[q]), []).append(u)
+    return list(classes.values())
+
+
 def _window_rows(table: np.ndarray, flat: np.ndarray, starts: list, q: int, d: int):
-    """Class histogram (before the rotation by class(c)) and zero count of the rows."""
+    """Class histogram (before the rotation by class(c)) and zero count of the rows.
+
+    Each slope class of two or more lines is one doubled table, its lines'
+    windows summed at their offsets u - u0, read as one window on the rows
+    r < q; the row r = q, where the class meets, is summed line by line.
+    """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     zero = int(table[0])
+    classes = _slope_classes(starts, q)
+    shared = [group for group in classes if len(group) > 1]
+    summed = np.empty((len(shared), 2 * q), dtype=table.dtype)
+    for total, (u0, *rest) in zip(summed, shared):
+        total[:q] = sum((table[(u[0] - u0[0]) % q :][:q] for u in rest), table[:q])
+        total[q:] = total[:q]
     window = sliding_window_view(table, q)
+    reads = [(window, group[0]) for group in classes if len(group) == 1]
+    reads += zip(sliding_window_view(summed, q, axis=1), (group[0] for group in shared))
+    last = flat[q] + sum(table[u[q] : u[q] + q] for u in starts)
     rows = max(1, _BLOCK_POINTS // q)
     acc = np.empty((rows, q), dtype=table.dtype)
     hist = np.zeros(zero + 1, dtype=np.int64)
     for r0 in range(0, q + 1, rows):
         out = acc[: min(rows, q + 1 - r0)]
         out[...] = flat[r0 : r0 + rows, None]
-        for u in starts:
-            out += window[u[r0 : r0 + rows]]
+        for win, u in reads:
+            out += win[u[r0 : r0 + rows]]
+        if r0 + len(out) > q:
+            out[-1] = last
         np.minimum(out, zero, out=out)
         hist += np.bincount(out.ravel(), minlength=zero + 1)
     # a sum below Z is a class sum, so it lies in the class of its residue mod d

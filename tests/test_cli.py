@@ -853,6 +853,25 @@ def test_module_invocation_matches_golden():
     assert proc.stdout == (GOLDEN / "fermat_9.json").read_text()
 
 
+def test_a_prime_above_the_counting_bound_is_bad_at_once():
+    # 2^61 - 1 is a prime = 1 (mod 3): trial division up to its square root never returned
+    import subprocess
+    import sys
+
+    from milnorhodge.pointcount import MAX_PRIME
+
+    primes = "2305843009213693951,7,13,19"
+    argv = ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "complement", "--primes", primes]
+    proc = subprocess.run(
+        [sys.executable, "-m", "milnorhodge.cli", *argv], capture_output=True, text=True, env=_src_env(), timeout=10
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {
+        "error": "bad_prime",
+        "message": f"{2**61 - 1} is above the counting bound {MAX_PRIME}",
+    }
+
+
 # the commands that never count points, each with its golden output
 _WEAK_DATA_RUNS = [
     (["spectrum", "--arrangement", str(DATA / "ceva.txt")], "spectrum_ceva.json"),

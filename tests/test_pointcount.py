@@ -17,10 +17,12 @@ from milnorhodge.arrangement import (
 )
 from milnorhodge.errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from milnorhodge.pointcount import (
+    MAX_PRIME,
     CountTable,
     FittedPoly,
     PrimeField,
     brute_force_count,
+    check_primes,
     complement_count,
     complement_fit,
     count_classes,
@@ -204,6 +206,31 @@ def test_prime_field_generators():
     assert PrimeField.make(13).g == 2
     with pytest.raises(BadPrime):
         PrimeField.make(9)
+
+
+def test_is_prime_equals_trial_division_and_rejects_strong_pseudoprimes():
+    from milnorhodge.pointcount import _is_prime
+
+    assert [_is_prime(n) for n in range(20_000)] == [
+        n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)) for n in range(20_000)
+    ]
+    # the least strong pseudoprimes to the first 1, 2, ..., 11 prime bases, and two Carmichael numbers
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 561, 1729):
+        assert not _is_prime(n), n
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1) and _is_prime(2**127 - 1)
+
+
+def test_primes_above_the_counting_bound_are_bad_before_any_primality_test(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    boolean = boolean_arrangement()
+    check_primes(boolean, [2097133])  # the largest prime = 1 (mod 3) below the bound
+    monkeypatch.setattr(pointcount, "_is_prime", lambda n: pytest.fail(f"tested {n} for primality"))
+    for q in (2097169, 2**61 - 1, 10**1999 + 1):  # the least such prime above it, and beyond
+        assert q > MAX_PRIME
+        with pytest.raises(BadPrime, match="above the counting bound"):
+            check_primes(boolean, [q, 7])
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +534,52 @@ def test_rotated_rows_equal_the_window_kernel_and_brute_force(flat, varying):
         if checked == 4:
             break
     assume(checked)
+
+
+# a slope class: lines a x + b y + c z sharing b/c, so one coprime (b, c), and distinct a;
+# every class meets in the point (0 : c : -b) of the row r = q
+_slope = st.tuples(st.integers(-3, 3), st.integers(1, 6)).filter(lambda bc: math.gcd(*bc) == 1)
+_slope_class = st.tuples(_slope, st.lists(st.integers(-5, 5), min_size=1, max_size=4, unique=True)).map(
+    lambda cls: [(a, *cls[0]) for a in cls[1]]
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_slope_class, min_size=1, max_size=3, unique_by=lambda cls: cls[0][1:]),
+    st.lists(_flat_line, max_size=3, unique=True),
+)
+@example([[(0, 0, 1), (1, 0, 1), (-1, 0, 1), (2, 0, 1)]], [])  # one class through (0 : 1 : 0)
+@example([[(0, 1, 2), (3, 1, 2), (-2, 1, 2)]], [(1, 0, 0)])  # the flat line x = 0 kills the row r = q
+@example([[(0, 1, 1), (1, 1, 1)], [(2, -1, 3)], [(1, 2, 1), (-1, 2, 1), (4, 2, 1)]], [(1, 1, 0)])
+@example([[(1, 1, 1), (2, 1, 1)], [(1, -1, 2)], [(0, 3, 5)]], [(0, 1, 0), (1, -2, 0)])  # singletons
+def test_slope_classes_count_as_the_product_route_and_brute_force(classes, flat):
+    # the grouped window kernel against multiplying values at one good prime above 200,
+    # where the rows take several blocks, and against the O(q^3) oracle at q < 60
+    from milnorhodge.pointcount import _BLOCK_POINTS
+
+    varying = [line for cls in classes for line in cls]
+    assume(len(varying) >= 3)
+    arr = LineArrangement(tuple(varying + flat))
+    small = [q for q in _PRIMES_BELOW_200 if q < 60 and (q - 1) % arr.d == 0 and arr.bad_modulus % q]
+    for q in small[:2]:
+        assert count_classes(arr, q) == brute_force_count(arr, q), q
+    q = good_primes(arr, 1, min_q=200)[0].p
+    assert q + 1 > _BLOCK_POINTS // q
+    assert count_classes(arr, q) == _product_route(arr, q), q
+
+
+def test_ceva_reads_one_window_per_slope_class(monkeypatch):
+    # x - w^i z share the slope 0; y - w^i z have three slopes: 4 windows for 6 varying lines
+    import milnorhodge.pointcount as pointcount
+
+    seen = []
+    kernel = pointcount._window_rows
+    monkeypatch.setattr(pointcount, "_window_rows", lambda *args: seen.append(args) or kernel(*args))
+    q = good_primes(ceva_arrangement(), 1)[0].p
+    count_classes(ceva_arrangement(), q)
+    [(_, _, starts, _, _)] = seen
+    assert sorted(map(len, pointcount._slope_classes(starts, q))) == [1, 1, 1, 3]
 
 
 def test_boolean_counts_without_the_block_loop(monkeypatch):
