@@ -254,13 +254,14 @@ def _spectrum(w: WeakCombData, loc: HodgeTable) -> Spectrum:
     fermat = _fermat_table(d)
     f20, f11, f02 = (fermat.entry(p, q).mult for p, q in ((2, 0), (1, 1), (0, 2)))
     s20, s11, s12, s02 = (loc.entry(p, q).mult for p, q in ((2, 0), (1, 1), (1, 2), (0, 2)))
-    # a = i/d, 1, 1 + i/d, 2, 2 + i/d in ascending order; m_3 is zero, since
-    # nothing above weight 2 survives in the trivial part
-    low = [(Fraction(i, d), f20[d - i] - s20[d - i]) for i in range(1, d)]
-    mid = [(Fraction(d + i, d), f11[i] - s11[i] - s12[i]) for i in range(1, d)]
-    high = [(Fraction(2 * d + i, d), f02[d - i] - s02[d - i] - s12[d - i]) for i in range(1, d)]
+    # a = n/d for n = i, d, d + i, 2d, 2d + i in ascending order; m_3 is zero, since
+    # nothing above weight 2 survives in the trivial part.  Most m are zero, so
+    # only the others get a Fraction
+    low = [(i, f20[d - i] - s20[d - i]) for i in range(1, d)]
+    mid = [(d + i, f11[i] - s11[i] - s12[i]) for i in range(1, d)]
+    high = [(2 * d + i, f02[d - i] - s02[d - i] - s12[d - i]) for i in range(1, d)]
     entries = tuple(
-        [(a, m) for a, m in (*low, (Fraction(1), w.b2M), *mid, (Fraction(2), -w.b1M), *high) if m]
+        [(Fraction(n, d), m) for n, m in (*low, (d, w.b2M), *mid, (2 * d, -w.b1M), *high) if m]
     )
     total = sum(m for _, m in entries)
     chi_f = w.chiF

@@ -24,12 +24,13 @@ row its classes are class(c) plus the contiguous window T2[u : u + q] of the
 doubled table; the classes of the c's are added once, as a rotation of the
 result.  A line with c = 0 modulo q adds one value per row, its flat sum.
 With three or more varying lines (c != 0) the windows are summed in blocks
-of about 2^15 points into a reused buffer and histogrammed together.  Lines
-of one slope class, the same b/c, start on the row r < q at u = a/c + r b/c:
-fixed offsets apart.  So each class of two or more lines is summed once into
-a doubled table and read as one window; only on the row r = q, where the
-class meets, are its lines summed one by one.  That is O(g q^2) work in
-bounded memory, g the number of slopes.  With at most two varying lines,
+of about 2^15 points into a reused buffer, int16 up to d = 32, then clipped
+at Z into one intp buffer and histogrammed.  Lines of one slope class, the
+same b/c, start on the row r < q at u = a/c + r b/c: fixed offsets apart.
+So each class of two or more lines is summed once into a doubled table and
+read as one window; on the row r = q all k lines of a class start at b/c and
+add k times one window.  That is O(g q^2) work in bounded memory, g the
+number of slopes.  With at most two varying lines,
 each live row is one base vector rotated by its flat sum.  One line gives
 (q - 1)/d points in every class and one zero.  Two, w and w + delta on the
 row, give (q - 1)/d points in each class 2 class(w) where they meet
@@ -154,12 +155,13 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
     The sentinel Z = d(d-1) + 1 exceeds every sum of d classes, so a sum of
     d entries is >= Z exactly when one of them is T[0].  Doubling lets a
     caller index with r + s for r, s in [0, q) without reducing modulo q.
-    Entries are int32 whenever a sum of d of them fits.
+    Entries take the narrowest of int16, int32 and int64 that holds a sum of
+    d of them: int16 up to d = 32, int32 up to d = 1290.
     """
     import numpy as np
 
     zero = d * (d - 1) + 1
-    table = np.empty(q, dtype=np.int32 if d * zero < 2**31 else np.int64)
+    table = np.empty(q, dtype=next(t for t in (np.int16, np.int32, np.int64) if d * zero <= np.iinfo(t).max))
     table[0] = zero
     x = 1
     powers = []
@@ -257,8 +259,9 @@ def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray,
     return np.bincount(classes, minlength=d), int(vals.size - nz.size)
 
 
-# Points of P^2 summed per block: with int32 classes a block's two buffers
-# take about 0.25 MiB, whatever q is.
+# Points of P^2 summed per block, whatever q is: the sums, the clip bound and a
+# gathered window take 2 or 4 bytes a point (int16 or int32 classes), the intp
+# histogram buffer 8, so a block's buffers take at most 0.63 MiB.
 _BLOCK_POINTS = 1 << 15
 
 
@@ -278,20 +281,22 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     field, lines = _lines_mod_q(arr, q)
     table = _class_table(q, field.g, d)
     # row r is (s, t, z) with (s, t) = (1, r) for r < q and (0, 1) for r = q;
-    # a line with c != 0 takes class(c) + T2[u : u + q] there, u = (a s + b t) / c
+    # a line with c != 0 takes class(c) + T2[u : u + q] there, u = (a s + b t) / c,
+    # and is kept as its offset a/c under its slope b/c
     s, t = np.ones(q + 1, dtype=np.intp), np.arange(q + 1, dtype=np.intp)
     s[q], t[q] = 0, 1
-    starts = []
+    slopes: dict[int, list[int]] = {}
     flat = np.zeros(q + 1, dtype=table.dtype)
-    shift = 0
+    shift = varying = 0
     for a, b, c in lines:
         if c:
             inv = pow(c, q - 2, q)
-            starts.append((a * inv % q * s + b * inv % q * t) % q)
+            slopes.setdefault(b * inv % q, []).append(a * inv % q)
             shift += int(table[c])
+            varying += 1
         else:
             flat += table[(a * s + b * t) % q]
-    classes, zeros = (_window_rows if len(starts) > 2 else _rotated_rows)(table, flat, starts, q, d)
+    classes, zeros = (_window_rows if varying > 2 else _rotated_rows)(table, flat, slopes, q, d)
     classes = np.roll(classes, shift)
     # the point (0 : 0 : 1), where every line takes its value c
     if any(c == 0 for _, _, c in lines):
@@ -307,63 +312,63 @@ def count_classes(arr: LineArrangement, q: int) -> CountTable:
     )
 
 
-def _slope_classes(starts: list, q: int) -> list[list]:
-    """The row starts of the varying lines, grouped by the slope b/c: the start u[q] on row q."""
-    classes: dict[int, list] = {}
-    for u in starts:
-        classes.setdefault(int(u[q]), []).append(u)
-    return list(classes.values())
-
-
-def _window_rows(table: np.ndarray, flat: np.ndarray, starts: list, q: int, d: int):
+def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
     """Class histogram (before the rotation by class(c)) and zero count of the rows.
 
-    Each slope class of two or more lines is one doubled table, its lines'
-    windows summed at their offsets u - u0, read as one window on the rows
-    r < q; the row r = q, where the class meets, is summed line by line.
+    ``slopes`` maps each slope b/c of the varying lines to their offsets a/c.
+    Each class of two or more lines is one doubled table, its lines' windows
+    summed at their offsets, read as one window on the rows r < q; on the row
+    r = q every line of the class starts at the slope, so it adds k windows
+    there, k the class size.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     zero = int(table[0])
-    classes = _slope_classes(starts, q)
-    shared = [group for group in classes if len(group) > 1]
-    summed = np.empty((len(shared), 2 * q), dtype=table.dtype)
-    for total, (u0, *rest) in zip(summed, shared):
-        total[:q] = sum((table[(u[0] - u0[0]) % q :][:q] for u in rest), table[:q])
-        total[q:] = total[:q]
     window = sliding_window_view(table, q)
-    reads = [(window, group[0]) for group in classes if len(group) == 1]
-    reads += zip(sliding_window_view(summed, q, axis=1), (group[0] for group in shared))
-    last = flat[q] + sum(table[u[q] : u[q] + q] for u in starts)
+    reads = []
+    for a0, *rest in slopes.values():  # a class of two or more lines gets its own doubled table
+        total = sum((table[(a - a0) % q :][:q] for a in rest), table[:q])
+        reads.append(sliding_window_view(np.concatenate([total, total]), q) if rest else window)
+    # the start a0 + r b/c of each class's first line on the rows r; column q is replaced by ``last``
+    slope = np.array(list(slopes), dtype=np.intp)
+    first = np.array([a[0] for a in slopes.values()], dtype=np.intp)
+    starts = (first[:, None] + slope[:, None] * np.arange(q + 1)) % q
+    last = flat[q] + sum(len(a) * table[m : m + q] for m, a in slopes.items())
     rows = max(1, _BLOCK_POINTS // q)
     acc = np.empty((rows, q), dtype=table.dtype)
+    cap = np.full_like(acc, zero)  # numpy clips against an array several times faster than against a scalar
+    idx = np.empty(acc.shape, dtype=np.intp)  # bincount copies any other dtype into intp first
     hist = np.zeros(zero + 1, dtype=np.int64)
     for r0 in range(0, q + 1, rows):
-        out = acc[: min(rows, q + 1 - r0)]
+        n = min(rows, q + 1 - r0)
+        out = acc[:n]
         out[...] = flat[r0 : r0 + rows, None]
-        for win, u in reads:
-            out += win[u[r0 : r0 + rows]]
-        if r0 + len(out) > q:
+        for win, u in zip(reads, starts[:, r0 : r0 + rows]):
+            out += win[u]
+        if r0 + n > q:
             out[-1] = last
-        np.minimum(out, zero, out=out)
-        hist += np.bincount(out.ravel(), minlength=zero + 1)
+        np.minimum(out, cap[:n], out=idx[:n])
+        hist += np.bincount(idx[:n].ravel(), minlength=zero + 1)
     # a sum below Z is a class sum, so it lies in the class of its residue mod d
     folded = np.zeros(d * d, dtype=np.int64)
     folded[:zero] = hist[:zero]
     return folded.reshape(d, d).sum(axis=0), int(hist[zero])
 
 
-def _rotated_rows(table: np.ndarray, flat: np.ndarray, starts: list, q: int, d: int):
+def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
     """The same as ``_window_rows`` for at most two varying lines, row by rotated row."""
     import numpy as np
 
     live = flat < table[0]  # a flat line vanishing on a row makes all of it zero
     zeros, n = q * (q + 1 - int(live.sum())), (q - 1) // d
-    if len(starts) < 2:  # (base vector, its rows, their rotations, zeros per row)
-        kinds = [(np.full(d, n) if starts else q * (np.arange(d) == 0), live, flat, len(starts))]
+    lines = [(m, a) for m, offsets in slopes.items() for a in offsets]
+    if len(lines) < 2:  # (base vector, its rows, their rotations, zeros per row)
+        kinds = [(np.full(d, n) if lines else q * (np.arange(d) == 0), live, flat, len(lines))]
     else:
-        delta = (starts[1] - starts[0]) % q
+        (m0, a0), (m1, a1) = lines
+        delta = (a1 - a0 + (m1 - m0) * np.arange(q + 1)) % q
+        delta[q] = (m1 - m0) % q
         through = n * np.bincount(2 * np.arange(d) % d, minlength=d)
         h2 = np.bincount((table[1 : q - 1] + table[2:q]) % d, minlength=d)
         kinds = [(through, live & (delta == 0), flat, 1),

@@ -377,6 +377,54 @@ def test_count_classes_memory_is_bounded_in_q():
         assert peak < 4 * 2**20, (arr.d, q, peak)
 
 
+def test_one_count_holds_its_block_buffers_and_row_starts():
+    # a count at d = 44 with its class table cached holds the int32 block sums,
+    # clip bound and gathered window (4 B a point), the intp histogram buffer
+    # (8 B a point) and the intp row starts of at most d slopes: 0.92 MiB here
+    import tracemalloc
+
+    from milnorhodge.pointcount import _BLOCK_POINTS
+
+    arr = random_rational_arrangement(random.Random(0), 44)
+    q = good_primes(arr, 1, min_q=870)[0].p
+    assert q == 881
+    buffers = 20 * (_BLOCK_POINTS // q) * q + 8 * arr.d * (q + 1)
+    count_classes(arr, q)
+    tracemalloc.start()
+    try:
+        count_classes(arr, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 2**18 < 1.25 * 2**20, (peak, buffers)
+
+
+def _pencil_lines(d: int) -> list[tuple[int, int, int]]:
+    # d lines through (1 : 1 : 1), all but x = y varying along the rows
+    return [(1, -1, 0)] + [_canonical_triple(1, k, -1 - k) for k in range(d - 1)]
+
+
+@pytest.mark.parametrize(
+    "lines, dtype",
+    [
+        (_pencil_lines(32), "int16"),
+        (_pencil_lines(33), "int32"),
+        (_pencil_lines(31) + [(1, 2, 5)], "int16"),  # a near-pencil
+    ],
+    ids=["pencil32", "pencil33", "near-pencil32"],
+)
+def test_class_sums_fit_the_table_dtype_at_its_boundary(lines, dtype):
+    # at the centre all d lines vanish and the row sum reaches d Z, Z = d(d - 1) + 1:
+    # 31,776 fits int16 at d = 32, 34,881 does not at d = 33
+    from milnorhodge.pointcount import _BLOCK_POINTS, _class_table
+
+    arr = LineArrangement(tuple(lines))
+    field = good_primes(arr, 1, min_q=200)[0]
+    assert _class_table(field.p, field.g, arr.d).dtype == dtype
+    assert field.p + 1 > 2 * (_BLOCK_POINTS // field.p)  # three or more blocks
+    assert count_classes(arr, field.p) == _product_route(arr, field.p)
+
+
 def test_count_tables_calls_count_classes_once_per_prime(monkeypatch):
     import milnorhodge.pointcount as pointcount
 
@@ -578,8 +626,8 @@ def test_ceva_reads_one_window_per_slope_class(monkeypatch):
     monkeypatch.setattr(pointcount, "_window_rows", lambda *args: seen.append(args) or kernel(*args))
     q = good_primes(ceva_arrangement(), 1)[0].p
     count_classes(ceva_arrangement(), q)
-    [(_, _, starts, _, _)] = seen
-    assert sorted(map(len, pointcount._slope_classes(starts, q))) == [1, 1, 1, 3]
+    [(_, _, slopes, _, _)] = seen
+    assert sorted(map(len, slopes.values())) == [1, 1, 1, 3]
 
 
 def test_boolean_counts_without_the_block_loop(monkeypatch):
