@@ -239,6 +239,8 @@ def boolean_arrangement() -> LineArrangement:
 # 2000 digits: a cross product then has at most 4001, below the interpreter's int-to-str limit
 MAX_DIGITS = 2000
 INTEGER_TOKEN = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
+# a whole form in one match; a chunk that fails it is only diagnosed token by token
+_FORM = re.compile(rf"({INTEGER_TOKEN.pattern})\s+({INTEGER_TOKEN.pattern})\s+({INTEGER_TOKEN.pattern})")
 
 
 def parse_arrangement(text: str) -> LineArrangement:
@@ -265,14 +267,14 @@ def parse_arrangement(text: str) -> LineArrangement:
                 continue
             if builtin is not None:
                 raise ParseError("builtin directive must be the only content")
-            parts = chunk.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected three integers, got {chunk!r}")
-            if not all(INTEGER_TOKEN.fullmatch(p) for p in parts):
+            if not (form := _FORM.fullmatch(chunk)):  # \s is the whitespace that str.split splits at
+                parts = chunk.split()
+                if len(parts) != 3:
+                    raise ParseError(f"expected three integers, got {chunk!r}")
                 if len(longest := max(parts, key=len)) > MAX_DIGITS:
                     raise ParseError(f"coefficient of {len(longest)} characters; at most {MAX_DIGITS} digits")
                 raise ParseError(f"non-integer coefficient in {chunk!r}")
-            forms.append(tuple(int(p) for p in parts))
+            forms.append(tuple(map(int, form.groups())))
     if builtin is not None:
         return LineArrangement(builtin=builtin)
     return LineArrangement(tuple(forms))

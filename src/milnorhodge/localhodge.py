@@ -84,18 +84,12 @@ def milnor_basis(sing: OrdinarySing) -> list[MonomialDatum]:
     for a in range(k - 1):
         for b in range(k - 1):
             for c in range(d - 1):
-                ell = Fraction(a + 1, k) + Fraction(b + 1, k) + Fraction(c + 1, d)
-                assert 0 < ell < 3
-                if ell.denominator == 1:
-                    e = int(ell)
-                    p, q = 3 - e, e
-                elif ell < 1:
-                    p, q = 2, 0
-                elif ell < 2:
-                    p, q = 1, 1
-                else:
-                    p, q = 0, 2
-                out.append(MonomialDatum(a, b, c, ell, (-(c + 1)) % d, p, q))
+                # ell = (a+1)/k + (b+1)/k + (c+1)/d = n / kd, compared in integers
+                n = (a + b + 2) * d + (c + 1) * k
+                e, rest = divmod(n, k * d)
+                assert 0 < n < 3 * k * d
+                p, q = ((2, 0), (1, 1), (0, 2))[e] if rest else (3 - e, e)
+                out.append(MonomialDatum(a, b, c, Fraction(n, k * d), (-(c + 1)) % d, p, q))
     return out
 
 

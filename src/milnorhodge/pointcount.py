@@ -29,8 +29,9 @@ at Z into one intp buffer and histogrammed.  Lines of one slope class, the
 same b/c, start on the row r < q at u = a/c + r b/c: fixed offsets apart.
 So each class of two or more lines is summed once into a doubled table and
 read as one window; on the row r = q all k lines of a class start at b/c and
-add k times one window.  That is O(g q^2) work in bounded memory, g the
-number of slopes.  With at most two varying lines,
+add k times one window.  The doubled tables are stacked, the shared one
+first, under one sliding-window view.  That is O(g q^2) work in bounded
+memory, g the number of slopes.  With at most two varying lines,
 each live row is one base vector rotated by its flat sum.  One line gives
 (q - 1)/d points in every class and one zero.  Two, w and w + delta on the
 row, give (q - 1)/d points in each class 2 class(w) where they meet
@@ -45,26 +46,29 @@ decided once per arrangement: q is good exactly when it does not divide the
 arrangement's cached ``bad_modulus``, so the prime search and each reduction
 test one remainder instead of recomputing the incidences modulo q.
 
-Counts fitted across several primes by exact Lagrange interpolation give,
-per twist, a candidate polynomial in q; when every remaining prime confirms
-it, the coefficient-of-t^i traces decode to a virtual character and the
-equivariant Hodge-Deligne polynomial with compact supports is diagonal with
-E^{i,i} equal to that character.  A failed confirmation is reported as a
-first-class NotPolynomial verdict with the witnessing prime, never an error:
-weight-one cohomology genuinely destroys polynomial counting.
+Counts fitted across several primes by exact Lagrange interpolation (one
+integer numerator over a common denominator) give, per twist, a candidate
+polynomial in q; when every remaining prime confirms it, the coefficient-of-t^i
+traces decode to a virtual character and the equivariant Hodge-Deligne
+polynomial with compact supports is diagonal with E^{i,i} equal to that
+character.  A failed confirmation is reported as a first-class NotPolynomial
+verdict with the witnessing prime, never an error: weight-one cohomology
+genuinely destroys polynomial counting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .arrangement import LineArrangement
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
-from .repring import HodgeTable, decode_characters
+from .repring import HodgeTable, _prime_factors, decode_characters
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,7 +92,7 @@ __all__ = [
 ]
 
 DEFAULT_PRIME_BOUND = 100_000
-# the largest prime counted at: building its class table peaks near 60 bytes per element, 120 MiB
+# the largest prime counted at: its class table multiplies residues in int64 and peaks near 24 B/element
 MAX_PRIME = 2**21
 
 
@@ -112,20 +116,6 @@ def _is_prime(n: int) -> bool:
         if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(twos)):
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -156,20 +146,22 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
     d entries is >= Z exactly when one of them is T[0].  Doubling lets a
     caller index with r + s for r, s in [0, q) without reducing modulo q.
     Entries take the narrowest of int16, int32 and int64 that holds a sum of
-    d of them: int16 up to d = 32, int32 up to d = 1290.
+    d of them: int16 up to d = 32, int32 up to d = 1290.  The powers g^i,
+    i = B h + l with B = ceil(sqrt(q - 1)), are one outer product of the
+    g^(B h) and the g^l modulo q.
     """
     import numpy as np
 
     zero = d * (d - 1) + 1
-    table = np.empty(q, dtype=next(t for t in (np.int16, np.int32, np.int64) if d * zero <= np.iinfo(t).max))
-    table[0] = zero
-    x = 1
-    powers = []
-    for _ in range(q - 1):
-        powers.append(x)
-        x = (x * g) % q
-    table[powers] = np.arange(q - 1) % d
-    doubled = np.concatenate([table, table])
+    doubled = np.empty(2 * q, dtype=next(t for t in (np.int16, np.int32, np.int64) if d * zero <= np.iinfo(t).max))
+    step = math.isqrt(q - 2) + 1  # B = ceil(sqrt(q - 1)) for every q >= 2
+    small = list(accumulate(repeat(g, step), lambda x, y: x * y % q, initial=1))  # g^0, ..., g^B
+    big = list(accumulate(repeat(small.pop(), (q - 2) // step), lambda x, y: x * y % q, initial=1))
+    powers = np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64))
+    powers %= q  # below q^2 <= 2^42 before the reduction
+    doubled[0] = zero
+    doubled[powers.ravel()[: q - 1]] = np.arange(q - 1, dtype=np.int32) % d
+    doubled[q:] = doubled[:q]
     doubled.flags.writeable = False  # shared by every caller through the cache
     return doubled
 
@@ -316,25 +308,34 @@ def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int
     """Class histogram (before the rotation by class(c)) and zero count of the rows.
 
     ``slopes`` maps each slope b/c of the varying lines to their offsets a/c.
-    Each class of two or more lines is one doubled table, its lines' windows
-    summed at their offsets, read as one window on the rows r < q; on the row
-    r = q every line of the class starts at the slope, so it adds k windows
-    there, k the class size.
+    One stack holds the doubled tables: row 0 is the shared one, read by each
+    line alone in its class; a class of two or more lines sums its windows at
+    their offsets into a row of its own, read as one window on the rows r < q.
+    On the row r = q every line of a class starts at the slope: k windows.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     zero = int(table[0])
-    window = sliding_window_view(table, q)
-    reads = []
-    for a0, *rest in slopes.values():  # a class of two or more lines gets its own doubled table
-        total = sum((table[(a - a0) % q :][:q] for a in rest), table[:q])
-        reads.append(sliding_window_view(np.concatenate([total, total]), q) if rest else window)
+    stack = np.empty((1 + sum(len(a) > 1 for a in slopes.values()), 2 * q), dtype=table.dtype)
+    stack[0] = table
+    windows = sliding_window_view(stack, q, axis=1)
+    reads, k = [], 0
+    for a0, *rest in slopes.values():
+        if rest:
+            k += 1
+            total = stack[k, :q]
+            total[...] = table[:q]
+            for a in rest:
+                total += table[(a - a0) % q :][:q]
+            stack[k, q:] = total
+        reads.append(windows[k if rest else 0])
     # the start a0 + r b/c of each class's first line on the rows r; column q is replaced by ``last``
     slope = np.array(list(slopes), dtype=np.intp)
     first = np.array([a[0] for a in slopes.values()], dtype=np.intp)
     starts = (first[:, None] + slope[:, None] * np.arange(q + 1)) % q
-    last = flat[q] + sum(len(a) * table[m : m + q] for m, a in slopes.items())
+    sizes = np.array([len(a) for a in slopes.values()], dtype=table.dtype)
+    last = flat[q] + sizes @ windows[0, slope]
     rows = max(1, _BLOCK_POINTS // q)
     acc = np.empty((rows, q), dtype=table.dtype)
     cap = np.full_like(acc, zero)  # numpy clips against an array several times faster than against a scalar
@@ -457,31 +458,38 @@ class FittedPoly:
 
 
 def _lagrange(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            # multiply basis by (x - xk)
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xk * basis[t + 1]
-            denom *= xi - xk
-        scale = Fraction(yi) / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    """Ascending coefficients of the interpolant through ``points`` at distinct x.
+
+    One integer numerator sum_i y_i (D / w_i) N(x) / (x - x_i) over one common
+    denominator D = lcm w_i, for N the node polynomial prod (x - x_k) and
+    w_i = N'(x_i); only the final coefficients become Fractions.
+    """
+    xs = [x for x, _ in points]
+    node = [1]  # ascending
+    for xk in xs:
+        node = [0, *node]
+        for t in range(len(node) - 1):
+            node[t] -= xk * node[t + 1]
+    weights = [math.prod(xi - xk for k, xk in enumerate(xs) if k != i) for i, xi in enumerate(xs)]
+    den = math.lcm(*weights)
+    num = [0] * len(points)
+    for (xi, yi), w in zip(points, weights):
+        scale, carry = yi * (den // w), 0
+        for t in range(len(points), 0, -1):  # N(x) / (x - x_i) by synthetic division
+            carry = node[t] + xi * carry
+            num[t - 1] += scale * carry
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return tuple(Fraction(c, den) for c in num)
 
 
-def _poly_at(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    acc = Fraction(0)
+def _agrees(coeffs: Sequence[Fraction], x: int, y: int) -> bool:
+    """Whether the polynomial takes the value y at x, compared in integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = acc * x + c.numerator * (den // c.denominator)
+    return acc == y * den
 
 
 def _check_fit_primes(primes: Sequence[int], degree: int, twist: int) -> None:
@@ -505,7 +513,7 @@ def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: 
         if pts not in fits:  # twists often share a sequence; check and fit each one once
             _check_fit_primes([q for q, _ in pts], degree, j)
             coeffs = _lagrange(pts[: degree + 1])
-            fits[pts] = coeffs, next((q for q, y in pts if _poly_at(coeffs, q) != y), None)
+            fits[pts] = coeffs, next((q for q, y in pts if not _agrees(coeffs, q, y)), None)
         coeffs, bad = fits[pts]
         if bad is None:
             per_twist.append(coeffs)

@@ -16,6 +16,8 @@ integer arithmetic.  Integer traces are fixed by the Galois group of Q(lam), so
 the trace at ``lam^s`` depends only on ``gcd(s, d)``; the inverse transform then
 collapses to Ramanujan sums, ``m_j = (1/d) sum_{e | d} trace(e) c_{d/e}(j)``, and
 the input is a virtual character exactly when every such sum is divisible by d.
+Each sum is von Sterneck's ``c_n(j) = mu(n/h) phi(n) / phi(n/h)``, ``h = gcd(n, j)``,
+with mu and phi on the divisors of d taken from one factorization of d.
 """
 
 from __future__ import annotations
@@ -101,11 +103,11 @@ class ReprClass:
         return sum(self.mult)
 
     def is_zero(self) -> bool:
-        return all(m == 0 for m in self.mult)
+        return not any(self.mult)
 
     def is_effective(self) -> bool:
         """True when no multiplicity is negative (a genuine representation)."""
-        return all(m >= 0 for m in self.mult)
+        return min(self.mult) >= 0
 
     def involution(self) -> "ReprClass":
         """Duality C_alpha -> C_{conj(alpha)}: mult[k] -> mult[(d-k) mod d]."""
@@ -254,22 +256,18 @@ def _json_int(value) -> int:
 # exact character decoding
 
 
-def _mobius(n: int) -> int:
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
-
-
-def _ramanujan_sum(n: int, j: int) -> int:
-    """c_n(j) = sum of zeta^j over the primitive n-th roots of unity zeta."""
-    g = math.gcd(n, j)
-    return sum(_mobius(n // k) * k for k in range(1, g + 1) if g % k == 0)
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def decode_characters(traces: Sequence[int]) -> ReprClass:
@@ -294,10 +292,20 @@ def decode_characters(traces: Sequence[int]) -> ReprClass:
                 f"(trace at s={s} differs from its Galois conjugates)"
             )
     divisors = [e for e in range(1, d + 1) if d % e == 0]
-    # m_j depends only on g = gcd(j, d); j = g % d is the first index with it
+    mu, phi = dict.fromkeys(divisors, 1), dict(zip(divisors, divisors))
+    for p in _prime_factors(d):
+        for n in divisors:
+            if n % p == 0:
+                mu[n] *= 0 if n % (p * p) == 0 else -1
+                phi[n] = phi[n] // p * (p - 1)
+    # m_j depends only on g = gcd(j, d); j = g % d is the first index with it.  Each
+    # Ramanujan sum is c_n(g) = mu(n/h) phi(n) / phi(n/h), h = gcd(n, g) (von Sterneck)
     by_gcd = {}
     for g in divisors:
-        total = sum(values[e % d] * _ramanujan_sum(d // e, g) for e in divisors)
+        total = 0
+        for n in divisors:
+            m = n // math.gcd(n, g)
+            total += values[d // n % d] * mu[m] * (phi[n] // phi[m])
         if total % d:
             raise DecodeError(
                 f"trace vector is not a virtual character of mu_{d} (fails at j={g % d})"

@@ -69,6 +69,14 @@ def test_parse_signed_ascii_integers_only():
             parse_arrangement(f"1 {token} 0\n")
 
 
+@pytest.mark.parametrize("space", ["\t", "\x1f", "\u3000", " \xa0 "], ids=["tab", "unit-sep", "ideographic", "nbsp"])
+def test_parse_splits_forms_at_any_unicode_whitespace(space):
+    # the one-pattern parse and the token diagnosis agree on what separates coefficients
+    assert parse_arrangement(f"1{space}0{space}0\n0 1 0 / 0{space}0{space}1\n") == boolean_arrangement()
+    with pytest.raises(ParseError, match="expected three integers"):
+        parse_arrangement(f"1{space}0\n")
+
+
 def test_parse_ceva_builtin():
     arr = parse_arrangement("builtin: ceva\n")
     assert arr == ceva_arrangement()

@@ -425,6 +425,43 @@ def test_class_sums_fit_the_table_dtype_at_its_boundary(lines, dtype):
     assert count_classes(arr, field.p) == _product_route(arr, field.p)
 
 
+def test_class_table_equals_repeated_multiplication():
+    # every prime q < 5000 against the discrete logarithm by repeated multiplication, for
+    # every d <= 64 dividing q - 1: int16 tables up to d = 32, int32 from d = 33
+    import numpy as np
+
+    from milnorhodge.pointcount import _class_table
+
+    for q in (q for q in range(2, 5000) if all(q % f for f in range(2, math.isqrt(q) + 1))):
+        g = PrimeField.make(q).g
+        dlog, x = [0] * q, 1
+        for i in range(q - 1):
+            dlog[x], x = i, x * g % q
+        dlog = np.array(dlog)
+        for d in (d for d in range(1, 65) if (q - 1) % d == 0):
+            expected = dlog % d
+            expected[0] = d * (d - 1) + 1
+            table = _class_table.__wrapped__(q, g, d)
+            assert table.dtype == (np.int16 if d <= 32 else np.int32), (q, d)
+            assert np.array_equal(table, np.concatenate([expected, expected])), (q, d)
+
+
+def test_class_table_build_stays_below_40_bytes_per_element():
+    import tracemalloc
+
+    from milnorhodge.pointcount import _class_table
+
+    q = 100003
+    g = PrimeField.make(q).g
+    tracemalloc.start()
+    try:
+        _class_table.__wrapped__(q, g, 42)  # an int32 table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * q
+
+
 def test_count_tables_calls_count_classes_once_per_prime(monkeypatch):
     import milnorhodge.pointcount as pointcount
 
@@ -601,6 +638,8 @@ _slope_class = st.tuples(_slope, st.lists(st.integers(-5, 5), min_size=1, max_si
 @example([[(0, 1, 2), (3, 1, 2), (-2, 1, 2)]], [(1, 0, 0)])  # the flat line x = 0 kills the row r = q
 @example([[(0, 1, 1), (1, 1, 1)], [(2, -1, 3)], [(1, 2, 1), (-1, 2, 1), (4, 2, 1)]], [(1, 1, 0)])
 @example([[(1, 1, 1), (2, 1, 1)], [(1, -1, 2)], [(0, 3, 5)]], [(0, 1, 0), (1, -2, 0)])  # singletons
+@example([[(0, 1, 1), (1, 1, 1)], [(2, -1, 3), (0, -1, 3), (1, -1, 3)]], [(1, 0, 0)])  # no singleton: row 0 unread
+@example([[(1, 1, 1)], [(1, -1, 2)], [(0, 3, 5)], [(2, 1, 3)]], [(0, 1, 0)])  # every class a singleton
 def test_slope_classes_count_as_the_product_route_and_brute_force(classes, flat):
     # the grouped window kernel against multiplying values at one good prime above 200,
     # where the rows take several blocks, and against the O(q^3) oracle at q < 60
@@ -675,6 +714,53 @@ def test_fit_rejects_repeated_prime():
 def test_fit_needs_a_witness_prime():
     with pytest.raises(NotEnoughPrimes):
         fit_polynomials({0: [(7, 1), (13, 1), (19, 1)]}, degree=2)
+
+
+def _fraction_lagrange(points):
+    # the reference interpolant: one Fraction basis polynomial per point
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], Fraction(1)
+        for k, (xk, _) in enumerate(points):
+            if k != i:
+                basis = [Fraction(0)] + basis
+                for t in range(len(basis) - 1):
+                    basis[t] -= xk * basis[t + 1]
+                denom *= xi - xk
+        for t, b in enumerate(basis):
+            coeffs[t] += Fraction(yi) / denom * b
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def test_lagrange_equals_the_fraction_basis_interpolant():
+    from milnorhodge.pointcount import _lagrange
+
+    rng = random.Random(41)
+    for _ in range(300):
+        xs = rng.sample(range(-(10**6), 10**6), rng.randint(1, 6))
+        size = rng.choice([10, 10**6, 10**12])
+        points = [(x, rng.randint(-size, size)) for x in xs]
+        assert _lagrange(points) == _fraction_lagrange(points), points
+
+
+def test_fit_witnesses_are_the_first_primes_off_the_interpolant():
+    primes = [7, 13, 19, 31, 37, 43]
+    cubic = [(q, q**3 - 5 * q + 7) for q in primes]
+    half = [(q, q * (q - 1) // 2) for q in primes]  # fractional coefficients, fitted exactly
+    seqs = {
+        0: cubic,
+        1: [(q, y + (q == 43)) for q, y in cubic],
+        2: [(q, y + (q >= 31)) for q, y in cubic],
+        3: half,
+        4: [(q, y - (q == 37)) for q, y in half],
+    }
+    fit = fit_polynomials(seqs, degree=3)
+    assert fit.witnesses == ((1, 43), (2, 37), (4, 37))
+    assert fit.per_twist[0] == (Fraction(7), Fraction(-5), Fraction(0), Fraction(1))
+    assert fit.per_twist[3] == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
+    assert fit.per_twist[1] is fit.per_twist[2] is fit.per_twist[4] is None
 
 
 def test_ceva_fiber_not_polynomial():

@@ -192,6 +192,42 @@ def test_decode_inverts_character_traces(r):
     assert decode_characters(integer_traces(r)) == r
 
 
+def test_decode_roundtrip_every_modulus_up_to_64():
+    # the count route decodes at d = 16-48; every d to 64 covers 48, 60 and 64 and every
+    # divisor pattern in between
+    rng = random.Random(37)
+    for d in range(1, 65):
+        for _ in range(2):
+            values = {g: rng.randint(-50, 50) for g in range(1, d + 1) if d % g == 0}
+            r = galois_stable_class(d, values)
+            assert decode_characters(integer_traces(r)) == r, d
+
+
+@pytest.mark.parametrize(
+    "by_gcd, message",
+    [
+        ({1: -1, 2: -1, 3: -1, 4: -1, 6: -1, 12: 0}, "(fails at j=1)"),
+        ({1: -1, 2: -1, 3: -1, 4: -1, 6: 0, 12: 0}, "(fails at j=2)"),
+        ({1: -1, 2: -1, 3: -1, 4: 0, 6: -1, 12: 0}, "(fails at j=3)"),
+        ({1: -1, 2: -1, 3: 0, 4: -1, 6: 0, 12: 0}, "(fails at j=4)"),
+        ({1: -1, 2: 0, 3: -1, 4: 0, 6: 0, 12: 0}, "(fails at j=6)"),
+    ],
+)
+def test_decode_names_the_first_failing_index_at_a_composite_modulus(by_gcd, message):
+    traces = [by_gcd[math.gcd(s, 12)] for s in range(12)]
+    with pytest.raises(DecodeError) as exc:
+        decode_characters(traces)
+    assert str(exc.value) == f"trace vector is not a virtual character of mu_12 {message}"
+
+
+def test_decode_names_the_first_trace_off_its_conjugates_at_a_composite_modulus():
+    with pytest.raises(DecodeError) as exc:
+        decode_characters([4, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+    assert str(exc.value) == (
+        "trace vector is not a virtual character of mu_12 (trace at s=5 differs from its Galois conjugates)"
+    )
+
+
 def test_decode_is_exact_on_huge_traces():
     r = galois_stable_class(12, {1: 3, 2: -1, 3: 4, 4: 1, 6: -5, 12: 9})
     big = 10**18
