@@ -13,9 +13,11 @@ groups by where they meet it, a point of multiplicity k gives one group of
 each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the number of
 groups of size s.
 
-Arrangements whose natural defining forms are not rational (the Ceva
-arrangement needs cube roots of unity) are named builtins that generate their
-incidence data directly; ``forms_mod`` reduces every arrangement modulo q.
+Two arrangement types share one interface: the line count ``d``, the bad
+modulus, ``forms_mod`` (the forms reduced modulo q) and ``describe``.
+``LineArrangement`` holds rational lines; ``CevaArrangement``, whose lines
+need cube roots of unity, holds none and lists its twelve points itself.
+Only ``intersection_data`` and ``weak_comb_data`` tell the two apart.
 
 Each arrangement also carries one integer, its bad modulus N: reduction
 modulo a prime q keeps the lines distinct and nonzero and the intersection
@@ -39,8 +41,9 @@ from .repring import HodgeTable, ReprClass
 
 __all__ = [
     "LineArrangement",
+    "CevaArrangement",
+    "Arrangement",
     "WeakCombData",
-    "BUILTIN_NAMES",
     "parse_arrangement",
     "boolean_arrangement",
     "ceva_arrangement",
@@ -69,18 +72,11 @@ def _canonical_triple(a: int, b: int, c: int) -> Triple:
 
 @dataclass(frozen=True)
 class LineArrangement:
-    """A reduced arrangement: canonical rational lines in input order, or a named builtin."""
+    """A reduced arrangement of rational lines: canonical forms in input order."""
 
-    lines: tuple[Triple, ...] = ()
-    builtin: str | None = None
+    lines: tuple[Triple, ...]
 
     def __post_init__(self) -> None:
-        if self.builtin is not None:
-            if self.builtin not in BUILTIN_NAMES:
-                raise ParseError(f"unknown builtin arrangement {self.builtin!r}")
-            if self.lines:
-                raise ParseError("builtin arrangements carry no explicit lines")
-            return
         lines: dict[Triple, None] = {}
         for form in self.lines:
             line = _canonical_triple(*map(operator.index, form))  # numpy integers become ints
@@ -93,24 +89,17 @@ class LineArrangement:
 
     @property
     def d(self) -> int:
-        if self.builtin == "ceva":
-            return _CEVA_D
         return len(self.lines)
 
     @cached_property
     def bad_modulus(self) -> int:
         """The integer N: modulo a prime q the incidence data survive iff q does not divide N.
 
-        For rational lines (content one, so none vanishes modulo q) N is the lcm
-        of the content of every pairwise cross product (q divides it when two
-        lines coincide) and of every nonzero value of a line at an
-        intersection point (when the line passes through the point modulo q,
-        which merges it with another point).  Ceva's forms over Z[w] fail only
-        modulo 3: each nonzero value of a line at one of its points is a unit
-        or has norm 3.
+        The lines have content one, so none vanishes modulo q.  N is the lcm of the content of
+        every pairwise cross product (q divides it when two lines coincide) and of every nonzero
+        value of a line at an intersection point (when the line passes through the point modulo
+        q, which merges it with another point).
         """
-        if self.builtin == "ceva":
-            return 3
         forms = self.lines
         points = intersection_data(self)
         values: set[int] = set()
@@ -121,21 +110,48 @@ class LineArrangement:
         return math.lcm(*values)
 
     def forms_mod(self, q: int, g: int) -> list[Triple]:
-        """The defining forms reduced modulo the prime q, g a primitive root.
-
-        Ceva's lines x = w^a y, x = w^b z and y = w^c z reduce with
-        w = g^((q-1)/3), a cube root of unity in F_q whenever 3 divides q - 1.
-        """
-        if self.builtin == "ceva":
-            w = pow(g, (q - 1) // 3, q)
-            roots = [-pow(w, j, q) % q for j in range(3)]
-            return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
+        """The defining forms reduced modulo the prime q (g, a primitive root, is unused)."""
         return [(a % q, b % q, c % q) for a, b, c in self.lines]
 
     def describe(self) -> dict:
-        if self.builtin:
-            return {"kind": "builtin", "builtin": self.builtin, "d": self.d}
         return {"kind": "lines", "d": self.d, "lines": [list(line) for line in self.lines]}
+
+
+@dataclass(frozen=True)
+class CevaArrangement:
+    """(x^3 - y^3)(x^3 - z^3)(y^3 - z^3): the lines x = w^a y, x = w^b z and y = w^c z for w a
+    primitive cube root of unity, which meet in twelve triple points.  It has no rational forms."""
+
+    d = 9
+    # the forms over Z[w] fail only modulo 3: each nonzero value of a line at
+    # one of its points is a unit or has norm 3
+    bad_modulus = 3
+
+    def forms_mod(self, q: int, g: int) -> list[Triple]:
+        """The nine forms reduced modulo q with w = g^((q-1)/3), a cube root of unity when 3 divides q - 1."""
+        w = pow(g, (q - 1) // 3, q)
+        roots = [-pow(w, j, q) % q for j in range(3)]
+        return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
+
+    def describe(self) -> dict:
+        return {"kind": "builtin", "builtin": "ceva", "d": self.d}
+
+    def points(self) -> dict[Triple | str, frozenset[int]]:
+        # Lines are indexed 0-2: x = w^a y, 3-5: x = w^b z, 6-8: y = w^c z.  Each coordinate
+        # vertex joins one family; the nine mixed points are (1 : w^-a : w^-b).
+        pts: dict[Triple | str, frozenset[int]] = {
+            (0, 0, 1): frozenset({0, 1, 2}),
+            (0, 1, 0): frozenset({3, 4, 5}),
+            (1, 0, 0): frozenset({6, 7, 8}),
+        }
+        for a in range(3):
+            for b in range(3):
+                label = (1, 1, 1) if a == b == 0 else f"(1 : w^{(-a) % 3} : w^{(-b) % 3})"
+                pts[label] = frozenset({a, 3 + b, 6 + (b - a) % 3})
+        return pts
+
+
+Arrangement = LineArrangement | CevaArrangement
 
 
 @dataclass(frozen=True)
@@ -200,32 +216,11 @@ class WeakCombData:
 
 
 # ---------------------------------------------------------------------------
-# the Ceva builtin: nine lines, twelve triple points
-
-_CEVA_D = 9
+# named arrangements
 
 
-def _ceva_points() -> dict[Triple | str, frozenset[int]]:
-    # Lines are indexed 0-2: x = w^a y, 3-5: x = w^b z, 6-8: y = w^c z,
-    # with w a primitive cube root of unity.  Each coordinate vertex joins
-    # one family; the nine mixed points are (1 : w^-a : w^-b).
-    pts: dict[Triple | str, frozenset[int]] = {
-        (0, 0, 1): frozenset({0, 1, 2}),
-        (0, 1, 0): frozenset({3, 4, 5}),
-        (1, 0, 0): frozenset({6, 7, 8}),
-    }
-    for a in range(3):
-        for b in range(3):
-            label = (1, 1, 1) if a == b == 0 else f"(1 : w^{(-a) % 3} : w^{(-b) % 3})"
-            pts[label] = frozenset({a, 3 + b, 6 + (b - a) % 3})
-    return pts
-
-
-BUILTIN_NAMES = ("ceva",)
-
-
-def ceva_arrangement() -> LineArrangement:
-    return LineArrangement(builtin="ceva")
+def ceva_arrangement() -> CevaArrangement:
+    return CevaArrangement()
 
 
 def boolean_arrangement() -> LineArrangement:
@@ -243,12 +238,12 @@ INTEGER_TOKEN = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
 _FORM = re.compile(rf"({INTEGER_TOKEN.pattern})\s+({INTEGER_TOKEN.pattern})\s+({INTEGER_TOKEN.pattern})")
 
 
-def parse_arrangement(text: str) -> LineArrangement:
+def parse_arrangement(text: str) -> Arrangement:
     """Parse the arrangement file format.
 
     One form per line, three integers separated by whitespace; ``/`` also
     separates forms; lines starting with ``#`` are comments.  A single
-    ``builtin: <name>`` directive selects a named arrangement instead.
+    ``builtin: ceva`` directive selects the Ceva arrangement instead.
     """
     forms: list[Triple] = []
     builtin: str | None = None
@@ -275,9 +270,11 @@ def parse_arrangement(text: str) -> LineArrangement:
                     raise ParseError(f"coefficient of {len(longest)} characters; at most {MAX_DIGITS} digits")
                 raise ParseError(f"non-integer coefficient in {chunk!r}")
             forms.append(tuple(map(int, form.groups())))
-    if builtin is not None:
-        return LineArrangement(builtin=builtin)
-    return LineArrangement(tuple(forms))
+    if builtin is None:
+        return LineArrangement(tuple(forms))
+    if builtin != "ceva":
+        raise ParseError(f"unknown builtin arrangement {builtin!r}")
+    return CevaArrangement()
 
 
 def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4) -> LineArrangement:
@@ -298,13 +295,13 @@ def _cross(u: Triple, v: Triple) -> Triple:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def intersection_data(arr: LineArrangement) -> dict[Triple | str, frozenset[int]]:
+def intersection_data(arr: Arrangement) -> dict[Triple | str, frozenset[int]]:
     """All rank-2 flats, point -> incident line indices; every line pair lies in exactly one.
 
-    Rational points are sorted canonical triples; builtins may label points symbolically.
+    Rational points are sorted canonical triples; Ceva labels some points symbolically.
     """
-    if arr.builtin == "ceva":
-        return _ceva_points()
+    if isinstance(arr, CevaArrangement):
+        return arr.points()
     forms = arr.lines
     incident: dict[Triple, set[int]] = {}
     for i, (a1, b1, c1) in enumerate(forms):
@@ -324,10 +321,10 @@ def intersection_data(arr: LineArrangement) -> dict[Triple | str, frozenset[int]
     return {pt: frozenset(incident[pt]) for pt in sorted(incident)}
 
 
-def weak_comb_data(arr: LineArrangement) -> WeakCombData:
+def weak_comb_data(arr: Arrangement) -> WeakCombData:
     """The census from groups: on each line i, the later lines grouped by where they meet i."""
-    if arr.builtin == "ceva":
-        return WeakCombData.make(arr.d, Counter(map(len, intersection_data(arr).values())))
+    if isinstance(arr, CevaArrangement):
+        return WeakCombData.make(arr.d, Counter(map(len, arr.points().values())))
     forms, gcd, keys = arr.lines, math.gcd, []
     for i, (a1, b1, c1) in enumerate(forms):
         # key the meeting point by two coordinates; line i fixes the third

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import pointcount
-from .arrangement import LineArrangement, WeakCombData, epoly_V, intersection_data, weak_comb_data
+from .arrangement import Arrangement, WeakCombData, epoly_V, intersection_data, weak_comb_data
 from .arrangement import random_rational_arrangement
 from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
 from .localhodge import OrdinarySing, link_h1, local_hodge_table
@@ -304,7 +304,7 @@ def _p2(d: int) -> HodgeTable:
     return HodgeTable(d, {(0, 0): triv, (1, 1): triv, (2, 2): triv})
 
 
-def assemble_all(arr: LineArrangement, h3: SurfaceH3Data | None = None) -> AssemblyReport:
+def assemble_all(arr: Arrangement, h3: SurfaceH3Data | None = None) -> AssemblyReport:
     """Spectrum, trivial parts and, given H^3 data, the full fiber tables."""
     w = weak_comb_data(arr)
     d = w.d
@@ -432,7 +432,7 @@ def _first_count_difference(fast, brute) -> str:
 
 
 def consistency_checks(
-    arr: LineArrangement, h3: SurfaceH3Data | None, primes: list[int], seed: int
+    arr: Arrangement, h3: SurfaceH3Data | None, primes: list[int], seed: int
 ) -> list[CheckResult]:
     """Every entry of the ``check`` command, in its order: weak data, local tables,
     ``assemble_all`` (one ``assembly`` entry if it raises), the sum rule on five

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import assembly, pointcount
 from .arrangement import (
-    LineArrangement,
+    Arrangement,
     epoly_V,
     intersection_data,
     INTEGER_TOKEN,
@@ -38,7 +38,7 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load_arrangement(path: str) -> LineArrangement:
+def _load_arrangement(path: str) -> Arrangement:
     return parse_arrangement(_read_text(path))
 
 

@@ -65,7 +65,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import LineArrangement
+from .arrangement import Arrangement
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, _prime_factors, decode_characters
@@ -170,7 +170,7 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
 # reduction of the arrangement modulo q
 
 
-def _lines_mod_q(arr: LineArrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
+def _lines_mod_q(arr: Arrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
     """F_q and the forms of ``arr`` reduced modulo q.
 
     BadPrime unless q is a prime = 1 (mod d) at which the reduction is good,
@@ -187,7 +187,7 @@ def _lines_mod_q(arr: LineArrangement, q: int) -> tuple[PrimeField, list[tuple[i
 
 
 def good_primes(
-    arr: LineArrangement,
+    arr: Arrangement,
     count: int,
     min_q: int = 2,
     bound: int = DEFAULT_PRIME_BOUND,
@@ -257,7 +257,7 @@ def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray,
 _BLOCK_POINTS = 1 << 15
 
 
-def count_classes(arr: LineArrangement, q: int) -> CountTable:
+def count_classes(arr: Arrangement, q: int) -> CountTable:
     """Exact census via one pass over P^2(F_q), memory bounded in q.
 
     A projective point with Q-value v != 0 contributes its whole punctured
@@ -382,7 +382,7 @@ def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[in
     return classes, zeros
 
 
-def brute_force_count(arr: LineArrangement, q: int) -> CountTable:
+def brute_force_count(arr: Arrangement, q: int) -> CountTable:
     """O(q^3) oracle: enumerate every affine triple.  Test path only."""
     import numpy as np
 
@@ -423,7 +423,7 @@ def complement_count(table: CountTable) -> int:
     return table.q**3 - table.zero_count
 
 
-def count_tables(arr: LineArrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
+def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order."""
     count = partial(count_classes, arr)
     if threads <= 1 or len(primes) <= 1:
@@ -538,7 +538,7 @@ def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
 
 
-def check_primes(arr: LineArrangement, primes: Sequence[int]) -> None:
+def check_primes(arr: Arrangement, primes: Sequence[int]) -> None:
     """Raise BadPrime, before any count, unless ``arr`` can be counted once at each prime.
 
     Primes are checked in input order by the per-prime rule of ``check_request``.
@@ -549,7 +549,7 @@ def check_primes(arr: LineArrangement, primes: Sequence[int]) -> None:
         raise BadPrime(f"a prime is repeated in {list(primes)}")
 
 
-def check_request(arr: LineArrangement, primes: Sequence[int], target: str) -> None:
+def check_request(arr: Arrangement, primes: Sequence[int], target: str) -> None:
     """Raise, before any count, what counting at ``primes`` and fitting ``target`` would."""
     for q in primes:
         _lines_mod_q(arr, q)
