@@ -13,11 +13,10 @@ groups by where they meet it, a point of multiplicity k gives one group of
 each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the number of
 groups of size s.
 
-Two arrangement types share one interface: the line count ``d``, the bad
-modulus, ``forms_mod`` (the forms reduced modulo q) and ``describe``.
-``LineArrangement`` holds rational lines; ``CevaArrangement``, whose lines
-need cube roots of unity, holds none and lists its twelve points itself.
-Only ``intersection_data`` and ``weak_comb_data`` tell the two apart.
+Two types share one interface (``d``, the bad modulus, ``forms_mod`` and ``describe``):
+``LineArrangement`` holds rational lines, and ``CevaArrangement``, whose lines need cube
+roots of unity, lists its twelve points itself.  Only ``intersection_data`` and
+``weak_comb_data`` tell them apart.
 
 Each arrangement also carries one integer, its bad modulus N: reduction
 modulo a prime q keeps the lines distinct and nonzero and the intersection
@@ -270,11 +269,9 @@ def parse_arrangement(text: str) -> Arrangement:
                     raise ParseError(f"coefficient of {len(longest)} characters; at most {MAX_DIGITS} digits")
                 raise ParseError(f"non-integer coefficient in {chunk!r}")
             forms.append(tuple(map(int, form.groups())))
-    if builtin is None:
-        return LineArrangement(tuple(forms))
-    if builtin != "ceva":
+    if builtin not in (None, "ceva"):
         raise ParseError(f"unknown builtin arrangement {builtin!r}")
-    return CevaArrangement()
+    return LineArrangement(tuple(forms)) if builtin is None else CevaArrangement()
 
 
 def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4) -> LineArrangement:

@@ -434,9 +434,10 @@ def _first_count_difference(fast, brute) -> str:
 def consistency_checks(
     arr: Arrangement, h3: SurfaceH3Data | None, primes: list[int], seed: int
 ) -> list[CheckResult]:
-    """Every entry of the ``check`` command, in its order: weak data, local tables,
-    ``assemble_all`` (one ``assembly`` entry if it raises), the sum rule on five
-    arrangements drawn from ``seed``, and the point counts at ``primes``."""
+    """Every entry of the ``check`` command, in its order: weak data, local tables, ``assemble_all``
+    (one ``assembly`` entry if it raises), the sum rule on five arrangements drawn from ``seed``, and
+    the point counts at ``primes``.  A bad prime raises BadPrime before any entry is built."""
+    tables = pointcount.count_tables(arr, primes)
     w = weak_comb_data(arr)
     d = w.d
     points = dict(sorted(Counter(map(len, intersection_data(arr).values())).items()))
@@ -467,8 +468,7 @@ def consistency_checks(
             ok, detail = False, str(exc)
             break
     checks.append(CheckResult("random_weak_data_sum_rule", ok, detail))
-    for q in primes:
-        fast = pointcount.count_classes(arr, q)
+    for q, fast in zip(primes, tables):
         if q <= 50:
             detail = _first_count_difference(fast, pointcount.brute_force_count(arr, q))
             checks.append(CheckResult(f"count_oracle_q{q}", not detail, detail))

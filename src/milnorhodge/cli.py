@@ -24,7 +24,7 @@ from .arrangement import (
     parse_arrangement,
     weak_comb_data,
 )
-from .errors import MilnorHodgeError, ParseError
+from .errors import MilnorHodgeError, ParseError, TooLarge
 from .localhodge import OrdinarySing, local_hodge_table, local_spectrum
 from .repring import HodgeTable
 
@@ -72,6 +72,15 @@ def _table_lines(table: HodgeTable) -> list[str]:
     return lines
 
 
+# the most numbers fermat (3d) or local-hodge (5d + (k-1)^2 (d-1)) builds and prints: ~23 MB of JSON
+MAX_ENTRIES = 10**6
+
+
+def _bound_entries(entries: int) -> None:
+    if entries > MAX_ENTRIES:
+        raise TooLarge(f"the output would list more than {MAX_ENTRIES} numbers")
+
+
 def _check_payload(checks) -> list[dict]:
     return [{"name": c.name, "pass": c.passed, "detail": c.detail} for c in checks]
 
@@ -114,6 +123,7 @@ def _cmd_combinatorics(args) -> int:
 
 def _cmd_local_hodge(args) -> int:
     sing = OrdinarySing(args.k, args.d)
+    _bound_entries(5 * sing.d + sing.milnor_number)
     table = local_hodge_table(sing).table
     payload = {
         "k": sing.k,
@@ -131,6 +141,7 @@ def _cmd_local_hodge(args) -> int:
 
 
 def _cmd_fermat(args) -> int:
+    _bound_entries(3 * args.d)
     table = assembly.fermat_surface_table(args.d)
     payload = {"d": args.d, "table": table.to_json_dict()}
     text = "\n".join([f"Fermat surface primitive H2, degree {args.d}"] + _table_lines(table)) + "\n"
@@ -257,11 +268,7 @@ def _cmd_hodge_from_counts(args) -> int:
 
 def _cmd_check(args) -> int:
     arr = _load_arrangement(args.arrangement)
-    if args.primes:
-        primes = _parse_primes(args.primes)
-        pointcount.check_primes(arr, primes)
-    else:
-        primes = [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
+    primes = _parse_primes(args.primes) if args.primes else [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
     h3 = _load_h3(args.h3x) if args.h3x else None
     checks = assembly.consistency_checks(arr, h3, primes, args.seed)
     all_pass = all(c.passed for c in checks)

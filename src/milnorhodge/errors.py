@@ -31,6 +31,10 @@ class DegreeTooSmall(MilnorHodgeError):
     code = "degree_too_small"
 
 
+class TooLarge(MilnorHodgeError):
+    code = "too_large"
+
+
 class NegativeMultiplicity(MilnorHodgeError):
     code = "negative_multiplicity"
 

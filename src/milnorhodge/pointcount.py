@@ -84,7 +84,6 @@ __all__ = [
     "complement_count",
     "count_tables",
     "fit_polynomials",
-    "check_primes",
     "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
@@ -424,7 +423,14 @@ def complement_count(table: CountTable) -> int:
 
 
 def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
-    """Count at several primes; workers are pure, merge order is the input order."""
+    """Count at several primes; workers are pure, merge order is the input order.
+
+    BadPrime, before any count, unless every prime in turn passes ``check_request``'s rule and none repeats.
+    """
+    for q in primes:
+        _lines_mod_q(arr, q)
+    if len(set(primes)) != len(primes):
+        raise BadPrime(f"a prime is repeated in {list(primes)}")
     count = partial(count_classes, arr)
     if threads <= 1 or len(primes) <= 1:
         return [count(q) for q in primes]
@@ -536,17 +542,6 @@ def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     seqs = {j: [(t.q, complement_count(t)) for t in tables] for j in range(d)}
     return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
-
-
-def check_primes(arr: Arrangement, primes: Sequence[int]) -> None:
-    """Raise BadPrime, before any count, unless ``arr`` can be counted once at each prime.
-
-    Primes are checked in input order by the per-prime rule of ``check_request``.
-    """
-    for q in primes:
-        _lines_mod_q(arr, q)
-    if len(set(primes)) != len(primes):
-        raise BadPrime(f"a prime is repeated in {list(primes)}")
 
 
 def check_request(arr: Arrangement, primes: Sequence[int], target: str) -> None:

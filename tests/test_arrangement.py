@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA
 from milnorhodge.arrangement import (
+    CevaArrangement,
     LineArrangement,
     WeakCombData,
     _canonical_triple,
@@ -79,8 +80,13 @@ def test_parse_splits_forms_at_any_unicode_whitespace(space):
 
 def test_parse_ceva_builtin():
     arr = parse_arrangement("builtin: ceva\n")
-    assert arr == ceva_arrangement()
-    assert arr.d == 9
+    assert arr == ceva_arrangement() == CevaArrangement()
+    assert arr.d == 9 and arr.bad_modulus == 3
+    assert arr.describe() == {"kind": "builtin", "builtin": "ceva", "d": 9}
+    with pytest.raises(ParseError, match="unknown builtin arrangement 'nosuch'"):
+        parse_arrangement("builtin: nosuch\n")
+    with pytest.raises(ParseError, match="no lines found"):
+        LineArrangement(())
 
 
 def test_line_canonical_form():
@@ -294,6 +300,9 @@ def test_group_census_in_each_key_branch(forms):
 def test_weak_data_rejects_bad_census():
     with pytest.raises(ValueError):
         WeakCombData.make(3, {2: 2})  # covers 2 pairs, needs 3
+    for census in ({1: 3}, {2: 4, 3: -1}):  # a key below 2, a negative count
+        with pytest.raises(ValueError, match="census keys must be >= 2 with nonnegative counts"):
+            WeakCombData.make(3, census)
 
 
 # ---------------------------------------------------------------------------

@@ -166,6 +166,8 @@ def test_fiber_tables_h1_from_h3():
 def test_fiber_tables_zero_and_involutive():
     zero = HodgeTable(9, {})
     assert fiber_tables(zero, zero) == (zero, zero)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        fiber_tables(zero, HodgeTable(3, {}))
     rng = random.Random(5)
     for _ in range(10):
         d = rng.randint(1, 9)

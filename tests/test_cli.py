@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,36 @@ def test_domain_error_exits_1(capsys):
         "error": "invalid_singularity",
         "message": "need 2 <= k <= d, got k=1, d=3",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fermat", "--d", "100000000000"],
+        ["local-hodge", "--k", "3", "--d", "100000000000"],
+        ["local-hodge", "--k", "100000000000", "--d", "100000000000"],  # 2k + 1 partial sums
+        ["fermat", "--d", "9" * 2000],
+        ["local-hodge", "--k", "9" * 2000, "--d", "9" * 2000],  # a count of 6000 digits is never printed
+    ],
+    ids=["fermat", "local-hodge-d", "local-hodge-k", "fermat-2000-digits", "local-hodge-2000-digits"],
+)
+def test_large_outputs_are_refused_before_they_are_built(capsys, argv):
+    start = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    message = "the output would list more than 1000000 numbers"
+    assert json.loads(out) == {"error": "too_large", "message": message}
+
+
+def test_output_bound_counts_every_number(capsys, monkeypatch):
+    from milnorhodge import cli
+
+    for argv, entries in ((["fermat", "--d", "9"], 27), (["local-hodge", "--k", "3", "--d", "9"], 45 + 32)):
+        monkeypatch.setattr(cli, "MAX_ENTRIES", entries)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_ENTRIES", entries - 1)
+        assert json.loads(run_cli(capsys, *argv)[1])["error"] == "too_large"
 
 
 def test_duplicate_line_error_code(capsys):
@@ -386,6 +417,8 @@ def test_check_primes_are_checked_before_counting(capsys, monkeypatch, primes, m
     rc, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--primes", primes)
     assert rc == 1
     assert json.loads(out) == {"error": "bad_prime", "message": message}
+    argv = ["check", "--arrangement", str(DATA / "boolean.txt"), "--primes", primes, "--h3x", str(DATA / "no.json")]
+    assert json.loads(run_cli(capsys, *argv)[1])["error"] == "file_not_found"  # H^3 is read before any count
 
 
 @pytest.mark.parametrize("primes", ["7,,13,19,31", "7,13,19,31,", ",7,13,19,31", "7, ,13,19,31"])

@@ -22,7 +22,6 @@ from milnorhodge.pointcount import (
     FittedPoly,
     PrimeField,
     brute_force_count,
-    check_primes,
     complement_count,
     complement_fit,
     count_classes,
@@ -134,21 +133,31 @@ def test_bad_modulus_matches_census_mod_q_on_pencils(d):
             _assert_bad_modulus_matches_census(arr, _rational_mod(arr), _PRIMES_BELOW_400)
 
 
-def test_bad_modulus_matches_census_mod_q_on_ceva():
-    arr = ceva_arrangement()
+def _ceva_mod(q):
+    w = next(x for x in range(2, q) if pow(x, 3, q) == 1)
+    cube_roots = [pow(w, j, q) for j in range(3)]
+    return (
+        [(1, -r % q, 0) for r in cube_roots]
+        + [(1, 0, -r % q) for r in cube_roots]
+        + [(0, 1, -r % q) for r in cube_roots]
+    )
 
-    def lines_mod(q):
-        w = next(x for x in range(2, q) if pow(x, 3, q) == 1)
-        cube_roots = [pow(w, j, q) for j in range(3)]
-        return (
-            [(1, -r % q, 0) for r in cube_roots]
-            + [(1, 0, -r % q) for r in cube_roots]
-            + [(0, 1, -r % q) for r in cube_roots]
-        )
 
+_BAD_AT_19_37_73 = LineArrangement(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 38, 73)))
+
+
+@pytest.mark.parametrize(
+    "arr, lines_mod",
+    [(ceva_arrangement(), _ceva_mod), (_BAD_AT_19_37_73, _rational_mod(_BAD_AT_19_37_73))],
+    ids=["ceva", "lines"],
+)
+def test_bad_modulus_and_forms_mod_match_census_mod_q(arr, lines_mod):
+    # both arrangement types, at primes = 1 (mod 18), where Ceva's cube roots of unity exist
     primes = [q for q in range(19, 3000, 18) if all(q % f for f in range(2, int(q**0.5) + 1))]
     assert len(primes) > 60
     _assert_bad_modulus_matches_census(arr, lines_mod, primes)
+    for q in primes:
+        assert sorted(arr.forms_mod(q, PrimeField.make(q).g)) == sorted(lines_mod(q))
 
 
 def test_bad_prime_wrong_residue():
@@ -225,12 +234,32 @@ def test_primes_above_the_counting_bound_are_bad_before_any_primality_test(monke
     import milnorhodge.pointcount as pointcount
 
     boolean = boolean_arrangement()
-    check_primes(boolean, [2097133])  # the largest prime = 1 (mod 3) below the bound
+    monkeypatch.setattr(pointcount, "count_classes", lambda arr, q: q)  # nothing is counted at 2^21
+    assert count_tables(boolean, [2097133]) == [2097133]  # the largest prime = 1 (mod 3) below the bound
     monkeypatch.setattr(pointcount, "_is_prime", lambda n: pytest.fail(f"tested {n} for primality"))
     for q in (2097169, 2**61 - 1, 10**1999 + 1):  # the least such prime above it, and beyond
         assert q > MAX_PRIME
         with pytest.raises(BadPrime, match="above the counting bound"):
-            check_primes(boolean, [q, 7])
+            count_tables(boolean, [q, 7])
+
+
+@pytest.mark.parametrize(
+    "primes, message",
+    [([7, 13, 8], "8 is not 1 modulo 3"), ([7, 13, 7], r"a prime is repeated in \[7, 13, 7\]")],
+    ids=["residue", "repeated"],
+)
+def test_a_bad_prime_is_refused_before_any_count_or_check(monkeypatch, primes, message):
+    import milnorhodge.assembly as assembly
+    import milnorhodge.pointcount as pointcount
+
+    calls = []
+    monkeypatch.setattr(pointcount, "count_classes", lambda arr, q: calls.append(q))
+    monkeypatch.setattr(assembly, "weak_comb_data", lambda arr: calls.append(arr))
+    with pytest.raises(BadPrime, match=message):
+        count_tables(boolean_arrangement(), primes)
+    with pytest.raises(BadPrime, match=message):
+        assembly.consistency_checks(boolean_arrangement(), None, primes, 0)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +562,8 @@ def test_twisted_sum_relates_to_complement():
         t = count_classes(arr, q)
         tw = twisted_counts(t, arr.d)
         assert sum(tw.values()) * (q - 1) == arr.d * complement_count(t)
+        with pytest.raises(ValueError, match="twist modulus differs"):
+            twisted_counts(t, arr.d + 1)
 
 
 def test_complement_crosscheck_fixtures(generic3):
@@ -828,6 +859,11 @@ def test_extraction_rejects_fractional_coefficients():
     fit = FittedPoly(degree=1, per_twist=((Fraction(1, 2),),), witnesses=())
     with pytest.raises(DecodeError):
         hodge_from_counts(fit, 1)
+    with pytest.raises(ValueError, match="fit does not cover every twist"):
+        hodge_from_counts(fit, 3)
+    fit = FittedPoly(degree=1, per_twist=((Fraction(1),), (Fraction(0),), (Fraction(0),)), witnesses=())
+    with pytest.raises(DecodeError, match=r"^coefficient of t\^0: trace vector is not a virtual character"):
+        hodge_from_counts(fit, 3)  # integer traces (1, 0, 0) of no character
 
 
 def test_complement_extraction_matches_betti_numbers(generic3):

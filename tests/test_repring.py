@@ -153,6 +153,8 @@ def test_decode_rejects_non_character():
         decode_characters([1, 2, 0])  # the trace at lam^2 differs from its conjugate at lam
     with pytest.raises(DecodeError, match="j=1"):
         decode_characters([1, 0])  # Galois-stable, but m_1 = (1 - 0) / 2
+    with pytest.raises(DecodeError, match="empty trace vector"):
+        decode_characters([])
 
 
 def test_no_small_class_has_traces_1_2_0():
@@ -267,13 +269,17 @@ def test_table_json_rejects_non_integers(field, bad):
 def test_table_json_shape():
     t = HodgeTable(3, {(1, 0): ReprClass.character(3, 1)})
     assert t.to_json_dict() == {"d": 3, "entries": [{"p": 1, "q": 0, "mult": [0, 1, 0]}]}
+    assert repr(t) == "<HodgeTable d=3 {(1,0): [0, 1, 0]}>"
 
 
 def test_table_drops_zero_entries_and_checks_modulus():
     t = HodgeTable(3, {(0, 0): ReprClass.zero(3)})
     assert t.support() == []
+    assert (t == 0) is False  # no table equals a non-table, not even an empty one
     with pytest.raises(ValueError):
         HodgeTable(3, {(0, 0): ReprClass.trivial(4)})
+    with pytest.raises(ValueError, match="mixed moduli"):
+        t + HodgeTable(4)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
