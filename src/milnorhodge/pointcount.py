@@ -21,8 +21,9 @@ d classes.  P^2(F_q) is the point (0 : 0 : 1) plus the q + 1 lines through
 it, the rows (1, r, z) for r < q and (0, 1, z).  On the row (s, t, z) a line
 with c != 0 has the value c (z + u), where u = (a s + b t) / c, so along the
 row its classes are class(c) plus the contiguous window T2[u : u + q] of the
-doubled table; the classes of the c's are added once, as a rotation of the
-result.  A line with c = 0 modulo q adds one value per row, its flat sum.
+doubled table.  A line with c = 0 modulo q is constant on each row, b (r + a/b)
+on the row r < q: class(b) plus one window read across the rows, or a when
+b = 0.  The constant classes are added once, as a rotation of the result.
 With three or more varying lines (c != 0) the windows are summed in blocks
 of about 2^15 points into a reused buffer, int16 up to d = 32, then clipped
 at Z into one intp buffer and histogrammed.  Lines of one slope class, the
@@ -34,11 +35,13 @@ first, under one sliding-window view.  That is O(g q^2) work in bounded
 memory, g the number of slopes.  With at most two varying lines,
 each live row is one base vector rotated by its flat sum.  One line gives
 (q - 1)/d points in every class and one zero.  Two, w and w + delta on the
-row, give (q - 1)/d points in each class 2 class(w) where they meet
-(delta = 0), and elsewhere H2 rotated by 2 class(delta), where H2[s] counts
-x != 0, -1 with class(x) + class(x + 1) = s (cyclotomic numbers of order d).
-A histogram of the rotations and an O(d^2) circular convolution add the rows
-up: O(q + d^2) work.  Only the brute-force oracle multiplies values modulo q.
+row, meet on exactly one row: r = (a0 - a1)/(m1 - m0) for offsets a/c and
+slopes m = b/c, or r = q when the slopes agree.  That row is taken in closed
+form, (q - 1)/d points in each class 2 class(w) and one zero.  Every other
+row is H2 rotated by 2 class(delta), where H2[s] counts x != 0, -1 with
+class(x) + class(x + 1) = s (cyclotomic numbers of order d): one histogram
+of the rotations and an O(d^2) circular convolution in Python add them up,
+O(q + d^2) work.  Only the brute-force oracle multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the lines stay
 distinct and nonzero and the intersection data are those over Z.  That is
@@ -169,19 +172,22 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
 # reduction of the arrangement modulo q
 
 
-def _lines_mod_q(arr: Arrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
-    """F_q and the forms of ``arr`` reduced modulo q.
-
-    BadPrime unless q is a prime = 1 (mod d) at which the reduction is good,
-    and at most MAX_PRIME.
-    """
+def _check_prime(arr: Arrangement, q: int) -> None:
+    """BadPrime unless q is a prime = 1 (mod d), at most MAX_PRIME, at which the reduction is good."""
     if q > MAX_PRIME:
         raise BadPrime(f"{q} is above the counting bound {MAX_PRIME}")
     if (q - 1) % arr.d != 0:
         raise BadPrime(f"{q} is not 1 modulo {arr.d}")
-    field = PrimeField.make(q)
+    if not _is_prime(q):
+        raise BadPrime(f"{q} is not prime")
     if arr.bad_modulus % q == 0:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
+
+
+def _lines_mod_q(arr: Arrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
+    """F_q and the forms of ``arr`` reduced modulo q, once ``_check_prime`` passes."""
+    _check_prime(arr, q)
+    field = PrimeField.make(q)
     return field, arr.forms_mod(q, field.g)
 
 
@@ -271,11 +277,10 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
     d = arr.d
     field, lines = _lines_mod_q(arr, q)
     table = _class_table(q, field.g, d)
-    # row r is (s, t, z) with (s, t) = (1, r) for r < q and (0, 1) for r = q;
-    # a line with c != 0 takes class(c) + T2[u : u + q] there, u = (a s + b t) / c,
-    # and is kept as its offset a/c under its slope b/c
-    s, t = np.ones(q + 1, dtype=np.intp), np.arange(q + 1, dtype=np.intp)
-    s[q], t[q] = 0, 1
+    # row r is (1, r, z) for r < q and (0, 1, z) for r = q.  A line with c != 0 takes class(c)
+    # plus T2[u : u + q] there, u = a/c + r b/c (b/c on the row q), kept as its offset a/c under
+    # its slope b/c.  One with c = 0 is b (r + a/b) on the row r < q and b on the row q: class(b)
+    # plus T2[a/b + r] and 0, or class(a) and Z if b = 0.  The constant classes rotate the result
     slopes: dict[int, list[int]] = {}
     flat = np.zeros(q + 1, dtype=table.dtype)
     shift = varying = 0
@@ -283,28 +288,25 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
         if c:
             inv = pow(c, q - 2, q)
             slopes.setdefault(b * inv % q, []).append(a * inv % q)
-            shift += int(table[c])
             varying += 1
+        elif b:
+            flat[:q] += table[a * pow(b, q - 2, q) % q :][:q]
         else:
-            flat += table[(a * s + b * t) % q]
+            flat[q] += table[0]
+        shift += table.item(c or b or a)
     classes, zeros = (_window_rows if varying > 2 else _rotated_rows)(table, flat, slopes, q, d)
-    classes = np.roll(classes, shift)
+    shift %= d
+    classes = classes[d - shift :] + classes[: d - shift]
     # the point (0 : 0 : 1), where every line takes its value c
-    if any(c == 0 for _, _, c in lines):
+    if varying < len(lines):
         zeros += 1
     else:
-        classes[shift % d] += 1
-    return CountTable(
-        q=q,
-        g=field.g,
-        d=d,
-        class_counts=tuple(int(n) * (q - 1) for n in classes),
-        zero_count=zeros * (q - 1) + 1,
-    )
+        classes[shift] += 1
+    return CountTable(q, field.g, d, tuple(n * (q - 1) for n in classes), zeros * (q - 1) + 1)
 
 
 def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
-    """Class histogram (before the rotation by class(c)) and zero count of the rows.
+    """Class histogram (before the rotation by the constant classes) and zero count of the rows.
 
     ``slopes`` maps each slope b/c of the varying lines to their offsets a/c.
     One stack holds the doubled tables: row 0 is the shared one, read by each
@@ -353,32 +355,45 @@ def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int
     # a sum below Z is a class sum, so it lies in the class of its residue mod d
     folded = np.zeros(d * d, dtype=np.int64)
     folded[:zero] = hist[:zero]
-    return folded.reshape(d, d).sum(axis=0), int(hist[zero])
+    return folded.reshape(d, d).sum(axis=0).tolist(), int(hist[zero])
 
 
 def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
     """The same as ``_window_rows`` for at most two varying lines, row by rotated row."""
     import numpy as np
 
-    live = flat < table[0]  # a flat line vanishing on a row makes all of it zero
-    zeros, n = q * (q + 1 - int(live.sum())), (q - 1) // d
+    zero, n = table.item(0), (q - 1) // d
     lines = [(m, a) for m, offsets in slopes.items() for a in offsets]
-    if len(lines) < 2:  # (base vector, its rows, their rotations, zeros per row)
-        kinds = [(np.full(d, n) if lines else q * (np.arange(d) == 0), live, flat, len(lines))]
-    else:
-        (m0, a0), (m1, a1) = lines
-        delta = (a1 - a0 + (m1 - m0) * np.arange(q + 1)) % q
-        delta[q] = (m1 - m0) % q
-        through = n * np.bincount(2 * np.arange(d) % d, minlength=d)
-        h2 = np.bincount((table[1 : q - 1] + table[2:q]) % d, minlength=d)
-        kinds = [(through, live & (delta == 0), flat, 1),
-                 (h2, live & (delta != 0), flat + 2 * table[delta], 2)]
-    circulant = (np.arange(d)[:, None] - np.arange(d)) % d  # column s: base rotated by s
-    classes = np.zeros(d, dtype=np.int64)
-    for base, rows, shifts, row_zeros in kinds:
-        classes += base[circulant] @ np.bincount(shifts[rows] % d, minlength=d)
-        zeros += row_zeros * int(rows.sum())
-    return classes, zeros
+    if len(lines) < 2:  # a live row: one zero and n points in every class, or q in its flat class
+        live = flat[flat < zero]  # a flat line vanishing on a row makes all of it zero
+        classes = [n * live.size] * d if lines else [q * k for k in np.bincount(live % d, minlength=d).tolist()]
+        return classes, q * (q + 1 - live.size) + len(lines) * live.size
+    # w and w + delta meet on one row: delta = dm (r - meet) on the row r < q and dm on the
+    # row q when the slopes differ, else da on the rows r < q and 0 on the row q.  There
+    # they give n points in each class 2 class(w) + flat, and one zero
+    (m0, a0), (m1, a1) = lines
+    dm, da = (m1 - m0) % q, (a1 - a0) % q
+    meet = -da * pow(dm, q - 2, q) % q if dm else q
+    classes, level = [0] * d, flat.item(meet)
+    met = level < zero
+    for k in range(d * met):
+        classes[(2 * k + level) % d] += n
+    # elsewhere H2 rotated by flat + 2 class(delta), for H2[s] the x != 0, -1 with
+    # class(x) + class(x + 1) = s.  On the rows r < q class(delta) is class(dm or da) plus
+    # T2[r - meet], which is Z on the meeting row: a sum at or above Z marks it or a dead row
+    rot = flat[:q] + 2 * table[q - meet :][:q] if dm else flat[:q]
+    spin = 2 * table.item(dm or da)
+    sums = np.bincount(rot)[:zero].tolist()
+    hist = [sum(sums[s::d]) for s in range(d)]
+    if dm and flat.item(q) < zero:
+        hist[flat.item(q) % d] += 1  # the row q, where delta = dm
+    pairs = np.bincount(table[1 : q - 1] + table[2:q]).tolist()
+    h2 = [sum(pairs[s::d]) for s in range(d)]
+    for s, rows in enumerate(hist):
+        for t, k in enumerate(h2 if rows else ()):
+            classes[(s + spin + t) % d] += rows * k
+    rows = sum(hist)
+    return classes, q * (q + 1 - rows - met) + 2 * rows + met
 
 
 def brute_force_count(arr: Arrangement, q: int) -> CountTable:
@@ -390,13 +405,7 @@ def brute_force_count(arr: Arrangement, q: int) -> CountTable:
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
     vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
     class_counts, zero_count = _aggregate(vals, field, arr.d)
-    return CountTable(
-        q=q,
-        g=field.g,
-        d=arr.d,
-        class_counts=tuple(int(c) for c in class_counts),
-        zero_count=zero_count,
-    )
+    return CountTable(q, field.g, arr.d, tuple(class_counts.tolist()), zero_count)
 
 
 def twisted_counts(table: CountTable, d: int) -> dict[int, int]:
@@ -428,7 +437,7 @@ def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1) -> l
     BadPrime, before any count, unless every prime in turn passes ``check_request``'s rule and none repeats.
     """
     for q in primes:
-        _lines_mod_q(arr, q)
+        _check_prime(arr, q)
     if len(set(primes)) != len(primes):
         raise BadPrime(f"a prime is repeated in {list(primes)}")
     count = partial(count_classes, arr)
@@ -547,7 +556,7 @@ def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
 def check_request(arr: Arrangement, primes: Sequence[int], target: str) -> None:
     """Raise, before any count, what counting at ``primes`` and fitting ``target`` would."""
     for q in primes:
-        _lines_mod_q(arr, q)
+        _check_prime(arr, q)
     _check_fit_primes(primes, _FIT_DEGREE[target], 0)
 
 

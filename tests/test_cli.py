@@ -351,6 +351,22 @@ def test_repeated_prime_is_bad_prime(capsys):
     assert json.loads(out)["error"] == "bad_prime"
 
 
+def test_count_finds_one_primitive_root_per_prime(capsys, monkeypatch):
+    # the prime checks of check_request and count_tables build no field: only the count does
+    from milnorhodge import pointcount
+
+    calls = []
+    make = pointcount.PrimeField.make
+    monkeypatch.setattr(pointcount.PrimeField, "make", classmethod(lambda cls, p: calls.append(p) or make(p)))
+    pointcount.count_tables(boolean_arrangement(), [7, 13, 19, 31])
+    assert calls == [7, 13, 19, 31]
+    calls.clear()
+    code, _ = run_cli(capsys, "count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
+                      "--primes", "7,13,19,31")
+    assert code == 0
+    assert calls == [7, 13, 19, 31]
+
+
 def test_bad_prime_error(capsys):
     code, out = run_cli(
         capsys,

@@ -627,6 +627,10 @@ _PRIMES_BELOW_200 = [q for q in range(2, 200) if all(q % f for f in range(2, mat
 @example([(1, 0, 0), (0, 1, 0), (1, 2, 0)], [(1, 1, 1), (2, 1, 11)])  # d = 5, and c = 11
 @example([], [(1, 0, 1), (0, 1, 1)])  # d = 2, no flat line: no dead row
 @example([(1, -1, 0)], [(1, 0, 1), (0, 1, 1)])  # the flat line kills the row with delta = 0
+@example([], [(1, 1, 1), (2, 1, 1)])  # one slope: the lines meet on the row q
+@example([(1, 0, 0)], [(1, 1, 1), (2, 1, 1)])  # x = 0 kills the row q, where they meet
+@example([(1, 1, 0)], [(1, 0, 1), (1, 1, 1)])  # they meet in (1 : 0 : -1), on the row r = 0
+@example([(0, 1, 0)], [(1, 0, 1), (1, 1, 13)])  # c = 13 vanishes modulo 13: one line varies there
 def test_rotated_rows_equal_the_window_kernel_and_brute_force(flat, varying):
     # with at most two varying lines each row is a rotated base vector; the
     # window kernel sums the same rows point by point, and the O(q^3) oracle
@@ -711,6 +715,21 @@ def test_boolean_counts_without_the_block_loop(monkeypatch):
     table = count_classes(boolean_arrangement(), q)
     # xyz lies in each class on (q - 1)^3 / 3 points and vanishes on the rest
     assert table == CountTable(q, PrimeField.make(q).g, 3, ((q - 1) ** 3 // 3,) * 3, q**3 - (q - 1) ** 3)
+
+
+def test_two_varying_lines_count_without_the_block_loop(monkeypatch, data_dir):
+    # generic4: x and y are flat, x + y + z and x + 2y + 3z vary, at a prime above 10^6
+    import milnorhodge.pointcount as pointcount
+
+    def no_blocks(*args):
+        raise AssertionError("two varying lines reached the block loop")
+
+    monkeypatch.setattr(pointcount, "_window_rows", no_blocks)
+    arr = parse_arrangement((data_dir / "generic4.txt").read_text())
+    q = good_primes(arr, 1, min_q=10**6, bound=2 * 10**6)[0].p
+    table = count_classes(arr, q)
+    assert sum(table.class_counts) + table.zero_count == q**3
+    assert complement_count(table) == weak_comb_data(arr).charpoly_value(q)
 
 
 # ---------------------------------------------------------------------------
