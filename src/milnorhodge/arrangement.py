@@ -322,7 +322,7 @@ def weak_comb_data(arr: Arrangement) -> WeakCombData:
     """The census from groups: on each line i, the later lines grouped by where they meet i."""
     if isinstance(arr, CevaArrangement):
         return WeakCombData.make(arr.d, Counter(map(len, arr.points().values())))
-    forms, gcd, keys = arr.lines, math.gcd, []
+    forms, gcd, groups, keys = arr.lines, math.gcd, Counter(), Counter()
     for i, (a1, b1, c1) in enumerate(forms):
         # key the meeting point by two coordinates; line i fixes the third
         if c1:  # (x, y)
@@ -331,8 +331,9 @@ def weak_comb_data(arr: Arrangement) -> WeakCombData:
             pairs = [(b1 * c2, a1 * b2 - b1 * a2) for a2, b2, c2 in forms[i + 1 :]]
         else:  # on the line x = 0 the point is (0 : -c2 : b2)
             pairs = [(b2, c2) for _, b2, c2 in forms[i + 1 :]]
-        keys += [(i, u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs]
-    groups = Counter(Counter(keys).values())
+        keys.clear()  # one line's keys at a time: memory O(d), not O(d^2)
+        keys.update([(u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs])
+        groups.update(keys.values())
     return WeakCombData.make(arr.d, {s + 1: n - groups[s + 1] for s, n in groups.items()})
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import pointcount
 from .arrangement import Arrangement, WeakCombData, epoly_V, intersection_data, weak_comb_data
 from .arrangement import random_rational_arrangement
-from .errors import DegreeTooSmall, MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
+from .errors import MilnorHodgeError, NegativeMultiplicity, SumRuleViolation
 from .localhodge import OrdinarySing, link_h1, local_hodge_table
 from .repring import HodgeTable, ReprClass
 
@@ -58,13 +58,13 @@ __all__ = [
 # Fermat reference surface
 
 
-def _fermat_table(d: int) -> HodgeTable:
+def fermat_surface_table(d: int) -> HodgeTable:
     """Primitive H^2 of the degree-d Fermat surface as a character table.
 
     With the group scaling the last coordinate, the holomorphic part has
     h^{2,0}(lam^k) = C(k-1, 2); conjugation gives h^{0,2}, and each nontrivial
-    character column sums to d^2 - 3d + 3.  Degrees 1 and 2 are accepted
-    here for the degenerate arrangements; the public wrapper rejects them.
+    character column sums to d^2 - 3d + 3.  Every d >= 1 is served: the plane
+    (d = 1) has none, the quadric (d = 2) one (1,1) class at lam^1.
     """
     total = d * d - 3 * d + 3
     h20 = [0] * d
@@ -76,13 +76,6 @@ def _fermat_table(d: int) -> HodgeTable:
         h11[k] = total - h20[k] - h02[k]
         assert h11[k] >= 0
     return HodgeTable(d, {(2, 0): ReprClass(d, h20), (1, 1): ReprClass(d, h11), (0, 2): ReprClass(d, h02)})
-
-
-def fermat_surface_table(d: int) -> HodgeTable:
-    """Equivariant Hodge table of primitive H^2 of the Fermat surface."""
-    if d < 3:
-        raise DegreeTooSmall(f"Fermat surface table needs degree >= 3, got {d}")
-    return _fermat_table(d)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +244,7 @@ def spectrum(w: WeakCombData) -> Spectrum:
 def _spectrum(w: WeakCombData, loc: HodgeTable) -> Spectrum:
     """``spectrum(w)`` with ``loc = milnor_sum_table(w)`` already built."""
     d = w.d
-    fermat = _fermat_table(d)
+    fermat = fermat_surface_table(d)
     f20, f11, f02 = (fermat.entry(p, q).mult for p, q in ((2, 0), (1, 1), (0, 2)))
     s20, s11, s12, s02 = (loc.entry(p, q).mult for p, q in ((2, 0), (1, 1), (1, 2), (0, 2)))
     # a = n/d for n = i, d, d + i, 2d, 2d + i in ascending order; m_3 is zero, since
@@ -314,7 +307,7 @@ def assemble_all(arr: Arrangement, h3: SurfaceH3Data | None = None) -> AssemblyR
 
     h2x = h1f = h2f = px = pcf = None
     if h3 is not None:
-        h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(_fermat_table(d), loc, h3)
+        h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(fermat_surface_table(d), loc, h3)
         h1f, h2f = fiber_tables(h2x, h3.table)
         px = _p2(d) + h2x - h3.table
         pcf = px - epoly_V(w)
@@ -445,7 +438,7 @@ def consistency_checks(
     detail = "census covers every line pair" if ok else f"groups {w.counts} vs points {points}"
     checks = [CheckResult("weak_data_pair_count", ok, detail)]
     # chi(F) = chi(X) - chi(V), chi(X) the smoothing's d^3 - 4d^2 + 6d less the Milnor numbers
-    milnor = sum(n * (k - 1) ** 2 * (d - 1) for k, n in w.m)
+    milnor = sum(n * OrdinarySing(k, d).milnor_number for k, n in w.m)
     chi_f = d**3 - 4 * d**2 + 6 * d - milnor - (2 * d - w.sum_mult_minus_one())
     detail = f"chiF={w.chiF}" if w.chiF == chi_f else f"d*chi(M)={w.chiF} vs smoothing {chi_f}"
     checks.append(CheckResult("chiF_multiplicativity", w.chiF == chi_f, detail))

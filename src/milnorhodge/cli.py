@@ -24,7 +24,7 @@ from .arrangement import (
     parse_arrangement,
     weak_comb_data,
 )
-from .errors import MilnorHodgeError, ParseError, TooLarge
+from .errors import DegreeTooSmall, MilnorHodgeError, ParseError, TooLarge
 from .localhodge import OrdinarySing, local_hodge_table, local_spectrum
 from .repring import HodgeTable
 
@@ -141,6 +141,8 @@ def _cmd_local_hodge(args) -> int:
 
 
 def _cmd_fermat(args) -> int:
+    if args.d < 3:
+        raise DegreeTooSmall(f"Fermat surface table needs degree >= 3, got {args.d}")
     _bound_entries(3 * args.d)
     table = assembly.fermat_surface_table(args.d)
     payload = {"d": args.d, "table": table.to_json_dict()}
@@ -200,7 +202,9 @@ def _parse_primes(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _count_payload(arr, args, extract: bool) -> dict:
+def _cmd_count(args) -> int:
+    """``count``, and ``hodge-from-counts``, which adds the extracted polynomial or a witness."""
+    arr = _load_arrangement(args.arrangement)
     primes = _parse_primes(args.primes)
     pointcount.check_request(arr, primes, args.target)
     tables = pointcount.count_tables(arr, primes, args.threads)
@@ -237,30 +241,15 @@ def _count_payload(arr, args, extract: bool) -> dict:
         "tables": table_rows,
         "fit": fit_payload,
     }
-    if extract:
-        if fit.is_polynomial():
-            payload["epoly"] = pointcount.hodge_from_counts(fit, d).to_json_dict()
-        else:
-            payload["result"] = "not_polynomial_count"
-            payload["witness"] = fit.first_witness()
-    return payload
-
-
-def _cmd_count(args) -> int:
-    arr = _load_arrangement(args.arrangement)
-    payload = _count_payload(arr, args, extract=False)
-    verdict = "polynomial" if payload["fit"]["polynomial"] else "not polynomial"
-    text = f"counted {args.target} at primes {payload['primes']}: fit is {verdict}\n"
-    _emit(payload, args.pretty, text)
-    return 0
-
-
-def _cmd_hodge_from_counts(args) -> int:
-    arr = _load_arrangement(args.arrangement)
-    payload = _count_payload(arr, args, extract=True)
-    if "epoly" in payload:
+    if args.command == "count":
+        verdict = "polynomial" if fit.is_polynomial() else "not polynomial"
+        text = f"counted {args.target} at primes {primes}: fit is {verdict}\n"
+    elif fit.is_polynomial():
+        payload["epoly"] = pointcount.hodge_from_counts(fit, d).to_json_dict()
         text = "extracted diagonal Hodge-Deligne polynomial\n"
     else:
+        payload["result"] = "not_polynomial_count"
+        payload["witness"] = fit.first_witness()
         text = f"counts not polynomial, witness prime {payload['witness']}\n"
     _emit(payload, args.pretty, text)
     return 0
@@ -340,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "hodge-from-counts", parents=[counting], help="extract the Hodge-Deligne polynomial"
     )
-    p.set_defaults(func=_cmd_hodge_from_counts)
+    p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("check", parents=[common], help="run the full consistency suite")
     p.add_argument("--arrangement", required=True)

@@ -197,20 +197,23 @@ def good_primes(
     min_q: int = 2,
     bound: int = DEFAULT_PRIME_BOUND,
 ) -> list[PrimeField]:
-    """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction."""
+    """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction.
+
+    The search stops at ``min(bound, MAX_PRIME)``, so every prime found can be counted.
+    """
     if count < 0:
         raise ValueError(f"cannot find {count} primes")
     if count == 0:
         return []
-    d, bad = arr.d, arr.bad_modulus
+    d, bad, limit = arr.d, arr.bad_modulus, min(bound, MAX_PRIME)
     start = max(min_q, 2)
     found: list[PrimeField] = []
-    for q in range(start + (1 - start) % d, bound + 1, d):
+    for q in range(start + (1 - start) % d, limit + 1, d):
         if _is_prime(q) and bad % q:
             found.append(PrimeField.make(q))
             if len(found) == count:
                 return found
-    raise NotEnoughPrimes(f"found {len(found)} good primes below {bound}, needed {count}")
+    raise NotEnoughPrimes(f"found {len(found)} good primes up to {limit}, needed {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +400,10 @@ def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[in
 
 
 def brute_force_count(arr: Arrangement, q: int) -> CountTable:
-    """O(q^3) oracle: enumerate every affine triple.  Test path only."""
+    """O(q^3) oracle: enumerate every affine triple.
+
+    ``assembly.consistency_checks`` compares it with the fast census at every counted q <= 50.
+    """
     import numpy as np
 
     field, lines = _lines_mod_q(arr, q)

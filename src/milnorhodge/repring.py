@@ -79,8 +79,7 @@ class ReprClass:
         return ReprClass(self.d, [a + b for a, b in zip(self.mult, other.mult)])
 
     def __sub__(self, other: "ReprClass") -> "ReprClass":
-        self._check(other)
-        return ReprClass(self.d, [a - b for a, b in zip(self.mult, other.mult)])
+        return self + -other
 
     def __neg__(self) -> "ReprClass":
         return ReprClass(self.d, [-a for a in self.mult])
@@ -189,12 +188,7 @@ class HodgeTable:
         return HodgeTable(self.d, out)
 
     def __sub__(self, other: "HodgeTable") -> "HodgeTable":
-        if self.d != other.d:
-            raise ValueError("mixed moduli in table arithmetic")
-        out = dict(self.entries)
-        for key, r in other.entries.items():
-            out[key] = out.get(key, ReprClass.zero(self.d)) - r
-        return HodgeTable(self.d, out)
+        return self + other.scale(-1)
 
     def scale(self, n: int) -> "HodgeTable":
         return HodgeTable(self.d, {k: n * r for k, r in self.entries.items()})

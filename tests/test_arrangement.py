@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -295,6 +296,19 @@ def test_group_census_in_each_key_branch(forms):
     assert arr.lines == tuple(forms)
     w = weak_comb_data(arr)
     assert w == _point_census(arr) and w.counts[4] == 1
+
+
+def test_group_census_holds_one_line_of_keys_at_a_time():
+    # the keys of all C(400, 2) line pairs held at once peak near 12 MiB
+    arr = random_rational_arrangement(random.Random(1), 400, 40)
+    tracemalloc.start()
+    try:
+        w = weak_comb_data(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert w == _point_census(arr)
 
 
 def test_weak_data_rejects_bad_census():

@@ -32,7 +32,7 @@ from milnorhodge.assembly import (
     spectrum,
     trivial_tables,
 )
-from milnorhodge.errors import DegreeTooSmall, NegativeMultiplicity, SumRuleViolation
+from milnorhodge.errors import NegativeMultiplicity, SumRuleViolation
 from milnorhodge.localhodge import LocalHodgeTable, OrdinarySing, link_h1, local_hodge_table
 from milnorhodge.repring import HodgeTable, ReprClass
 
@@ -66,9 +66,9 @@ def test_fermat_d4_example():
     assert fermat_surface_table(4).entry(2, 0).dim() == math.comb(3, 3) == 1
 
 
-def test_fermat_rejects_small_degree():
-    with pytest.raises(DegreeTooSmall):
-        fermat_surface_table(2)
+def test_fermat_small_degrees_are_the_plane_and_the_quadric():
+    assert fermat_surface_table(1) == HodgeTable(1)
+    assert fermat_surface_table(2) == HodgeTable(2, {(1, 1): ReprClass.character(2, 1)})
 
 
 def test_fermat_no_trivial_character_and_symmetry():

@@ -140,6 +140,16 @@ def test_golden_count_complement(capsys):
     check_golden("count_generic3_complement.json", out)
 
 
+def test_count_and_hodge_from_counts_share_their_counts(capsys):
+    # one handler serves both commands: hodge-from-counts only adds the extraction
+    argv = ["--arrangement", str(DATA / "generic4.txt"), "--target", "complement", "--primes", "5,13,17,29,37"]
+    counted = json.loads(run_cli(capsys, "count", *argv)[1])
+    extracted = json.loads(run_cli(capsys, "hodge-from-counts", *argv)[1])
+    assert list(counted) == ["arrangement", "target", "primes", "tables", "fit"]
+    assert list(extracted) == list(counted) + ["epoly"]
+    assert {key: extracted[key] for key in counted} == counted
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error objects
 
@@ -162,6 +172,16 @@ def test_domain_error_exits_1(capsys):
     assert json.loads(out) == {
         "error": "invalid_singularity",
         "message": "need 2 <= k <= d, got k=1, d=3",
+    }
+
+
+@pytest.mark.parametrize("d", ["0", "1", "2"])
+def test_fermat_command_refuses_small_degree(capsys, d):
+    code, out = run_cli(capsys, "fermat", "--d", d)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "degree_too_small",
+        "message": f"Fermat surface table needs degree >= 3, got {d}",
     }
 
 

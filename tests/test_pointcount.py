@@ -170,6 +170,12 @@ def test_not_enough_primes_below_bound():
         good_primes(ceva_arrangement(), 3, min_q=19, bound=40)
 
 
+def test_good_primes_stop_at_the_counting_bound():
+    # the next prime = 1 (mod 3) is 2097169, which count_classes would refuse
+    with pytest.raises(NotEnoughPrimes, match="found 0 good primes up to 2097152, needed 1"):
+        good_primes(boolean_arrangement(), 1, min_q=MAX_PRIME, bound=MAX_PRIME + 1000)
+
+
 def test_good_primes_zero_count_is_empty():
     # returns at once: a bound with no prime q = 1 (mod 9) below it cannot raise
     assert good_primes(ceva_arrangement(), 0, bound=3) == []

@@ -280,6 +280,10 @@ def test_table_drops_zero_entries_and_checks_modulus():
         HodgeTable(3, {(0, 0): ReprClass.trivial(4)})
     with pytest.raises(ValueError, match="mixed moduli"):
         t + HodgeTable(4)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        t - HodgeTable(4)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        ReprClass.trivial(3) - ReprClass.trivial(4)
 
 
 @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
