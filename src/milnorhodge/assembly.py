@@ -3,16 +3,19 @@
 The Milnor fiber F of a degree-d line arrangement compactifies to the surface
 X : Q(x, y, z) = t^d in P^3, whose isolated singularities sit over the
 multiple points of the arrangement.  Three relations assemble the equivariant
-Hodge tables of F from computable pieces:
+Hodge tables of F from the weak combinatorial data (d, m_k) and the character
+table of H^3(X), supplied from outside (the CLI's ``--h3x``), which the weak
+data do not determine:
 
 * the weight-1 part of the primitive H^2 of X is the link H^1 summed over the
-  singular points minus the Poincare dual of the (externally supplied) H^3 data;
+  singular points minus the Poincare dual of H^3;
 * the weight-2 part compares X with its smoothing, the degree-d Fermat
   surface, via the vanishing-cohomology four-term exact sequence;
 * the nontrivial-character parts of H^1(F) and H^2(F) are the primitive
   cohomology of X read backwards through duality.
 
-The arrangement spectrum needs no H^3 input at all: composing the three
+``assemble_all(w, h3)`` takes exactly these two inputs and returns every table.
+The arrangement spectrum needs the weak data alone: composing the three
 relations makes the H^3 terms cancel against their conjugates, leaving, per
 fractional exponent a, a Fermat-surface multiplicity minus a local census.
 The sum rule (total = reduced Euler characteristic of F) is asserted on every
@@ -276,15 +279,14 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AssemblyReport:
-    weak: WeakCombData
     spec: Spectrum
     trivial: dict[int, HodgeTable]
-    h3: SurfaceH3Data | None
-    h2x: HodgeTable | None
-    h1f: HodgeTable | None
-    h2f: HodgeTable | None
-    px: HodgeTable | None
-    pcf: HodgeTable | None
+    h3: SurfaceH3Data
+    h2x: HodgeTable
+    h1f: HodgeTable
+    h2f: HodgeTable
+    px: HodgeTable
+    pcf: HodgeTable
     checks: tuple[CheckResult, ...]
 
     def all_pass(self) -> bool:
@@ -297,23 +299,16 @@ def _p2(d: int) -> HodgeTable:
     return HodgeTable(d, {(0, 0): triv, (1, 1): triv, (2, 2): triv})
 
 
-def assemble_all(arr: Arrangement, h3: SurfaceH3Data | None = None) -> AssemblyReport:
-    """Spectrum, trivial parts and, given H^3 data, the full fiber tables."""
-    w = weak_comb_data(arr)
+def assemble_all(w: WeakCombData, h3: SurfaceH3Data) -> AssemblyReport:
+    """Spectrum, trivial parts and fiber tables from the weak data and H^3 of X."""
     d = w.d
-    if h3 is not None and h3.d != d:
+    if h3.d != d:
         raise MilnorHodgeError(f"H3 data modulus {h3.d} differs from arrangement degree {d}")
     loc = milnor_sum_table(w)  # built once: the spectrum, weight relations and checks share it
-
-    h2x = h1f = h2f = px = pcf = None
-    if h3 is not None:
-        h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(fermat_surface_table(d), loc, h3)
-        h1f, h2f = fiber_tables(h2x, h3.table)
-        px = _p2(d) + h2x - h3.table
-        pcf = px - epoly_V(w)
-
+    h2x = primitive_h2_weight1(loc, h3) + primitive_h2_weight2(fermat_surface_table(d), loc, h3)
+    h1f, h2f = fiber_tables(h2x, h3.table)
+    px = _p2(d) + h2x - h3.table
     report = AssemblyReport(
-        weak=w,
         spec=_spectrum(w, loc),
         trivial=trivial_tables(w),
         h3=h3,
@@ -321,96 +316,60 @@ def assemble_all(arr: Arrangement, h3: SurfaceH3Data | None = None) -> AssemblyR
         h1f=h1f,
         h2f=h2f,
         px=px,
-        pcf=pcf,
+        pcf=px - epoly_V(w),
         checks=(),
     )
-    return replace(report, checks=tuple(check_identities(report, loc)))
+    return replace(report, checks=tuple(check_identities(w, loc, report)))
 
 
-def check_identities(report: AssemblyReport, loc: HodgeTable) -> list[CheckResult]:
-    """Weight purity, localization, conjugation and compact-support checks.
-
-    ``loc`` is ``milnor_sum_table(report.weak)``; the localization check reads its link H^1.
-    """
-    checks: list[CheckResult] = []
-    w = report.weak
-    d = w.d
-
-    if report.h1f is not None:
-        ok = all(p + q == 1 for (p, q) in report.h1f.support())
-        checks.append(CheckResult("weight1_purity", ok, "H1(F) nontrivial part is pure weight 1"))
-
-        ok = all(p + q != 4 for (p, q) in report.h2f.support())
-        checks.append(CheckResult("no_weight4_in_H2F", ok, "H2(F) nontrivial part has no (p,q) with p+q=4"))
-
-        # localization: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - sum_s (H^0 - H^1 + H^2 - H^3)(K_s).
-        # For n points, P(Sigma) - D[P(Sigma)] and sum_s (H^0 - H^3)(K_s) are both n (0,0) - n (2,2)
-        # and cancel; H^2 = D[H^1] by link duality leaves h1k - D[h1k].
-        h1k = link_h1(loc)
-        lhs = report.px - report.px.poincare_dual(2)
-        checks.append(
-            CheckResult(
-                "link_localization_identity",
-                lhs == h1k - h1k.poincare_dual(2),
-                "P(X) minus its twisted dual matches the singular locus and link terms",
-            )
-        )
-
-        symmetric = {
-            "H3(X) input": report.h3.table,
-            "H2_0(X)": report.h2x,
-            "H1(F)": report.h1f,
-            "H2(F)": report.h2f,
-        }
-        bad = [name for name, t in symmetric.items() if not t.is_conjugation_symmetric()]
-        checks.append(
-            CheckResult(
-                "conjugation_symmetry",
-                not bad,
-                "all tables symmetric" if not bad else "asymmetric: " + ", ".join(bad),
-            )
-        )
-
-        # compact supports: P(X) - P(V) must equal the table assembled from
-        # H^*_c(F) = primitive cohomology of X plus the dual trivial part.
-        triv = ReprClass.trivial
-        pcf_direct = (
-            report.h2x
-            + HodgeTable(d, {(0, 0): triv(d, w.b2M)})
-            - report.h3.table
-            - HodgeTable(d, {(1, 1): triv(d, w.b1M)})
-            + HodgeTable(d, {(2, 2): triv(d)})
-        )
-        checks.append(
-            CheckResult(
-                "compact_support_identity",
-                report.pcf == pcf_direct,
-                "P(X) - P(V) equals the compactly-supported fiber table",
-            )
-        )
-
-        euler_bad = []
-        for j in range(1, d):
-            lhs_dim = -report.h1f.dim_of_character(j) + report.h2f.dim_of_character(j)
-            if lhs_dim != w.chiM:
-                euler_bad.append(j)
-        checks.append(
-            CheckResult(
-                "euler_characteristic_identity",
-                not euler_bad,
-                "each nontrivial character contributes chi(M)"
-                if not euler_bad
-                else f"fails at characters {euler_bad}",
-            )
-        )
-
-    checks.append(
-        CheckResult(
-            "spectrum_sum_rule",
-            report.spec.total() == w.chiF - 1,
-            f"sum {report.spec.total()} == chi(F) - 1 = {w.chiF - 1}",
-        )
+def _sum_rule_check(w: WeakCombData, spec: Spectrum) -> CheckResult:
+    return CheckResult(
+        "spectrum_sum_rule", spec.total() == w.chiF - 1, f"sum {spec.total()} == chi(F) - 1 = {w.chiF - 1}"
     )
+
+
+def check_identities(w: WeakCombData, loc: HodgeTable, report: AssemblyReport) -> list[CheckResult]:
+    """Weight purity, localization, conjugation, compact-support, Euler and sum-rule checks.
+
+    ``report`` is assembled from ``w``, and ``loc`` is ``milnor_sum_table(w)``; the
+    localization check reads its link H^1.
+    """
+    d = w.d
+    ok = all(p + q == 1 for (p, q) in report.h1f.support())
+    checks = [CheckResult("weight1_purity", ok, "H1(F) nontrivial part is pure weight 1")]
+    ok = all(p + q != 4 for (p, q) in report.h2f.support())
+    checks.append(CheckResult("no_weight4_in_H2F", ok, "H2(F) nontrivial part has no (p,q) with p+q=4"))
+
+    # localization: P(X) - D[P(X)] = P(Sigma) - D[P(Sigma)] - sum_s (H^0 - H^1 + H^2 - H^3)(K_s).
+    # For n points, P(Sigma) - D[P(Sigma)] and sum_s (H^0 - H^3)(K_s) are both n (0,0) - n (2,2)
+    # and cancel; H^2 = D[H^1] by link duality leaves h1k - D[h1k].
+    h1k = link_h1(loc)
+    ok = report.px - report.px.poincare_dual(2) == h1k - h1k.poincare_dual(2)
+    detail = "P(X) minus its twisted dual matches the singular locus and link terms"
+    checks.append(CheckResult("link_localization_identity", ok, detail))
+
+    symmetric = {"H3(X) input": report.h3.table, "H2_0(X)": report.h2x, "H1(F)": report.h1f, "H2(F)": report.h2f}
+    bad = [name for name, t in symmetric.items() if not t.is_conjugation_symmetric()]
+    detail = "asymmetric: " + ", ".join(bad) if bad else "all tables symmetric"
+    checks.append(CheckResult("conjugation_symmetry", not bad, detail))
+
+    # compact supports: P(X) - P(V) must equal the table assembled from
+    # H^*_c(F) = primitive cohomology of X plus the dual trivial part.
+    triv = ReprClass.trivial
+    pcf_direct = (
+        report.h2x
+        + HodgeTable(d, {(0, 0): triv(d, w.b2M)})
+        - report.h3.table
+        - HodgeTable(d, {(1, 1): triv(d, w.b1M)})
+        + HodgeTable(d, {(2, 2): triv(d)})
+    )
+    detail = "P(X) - P(V) equals the compactly-supported fiber table"
+    checks.append(CheckResult("compact_support_identity", report.pcf == pcf_direct, detail))
+
+    bad = [j for j in range(1, d) if report.h2f.dim_of_character(j) - report.h1f.dim_of_character(j) != w.chiM]
+    detail = f"fails at characters {bad}" if bad else "each nontrivial character contributes chi(M)"
+    checks.append(CheckResult("euler_characteristic_identity", not bad, detail))
+    checks.append(_sum_rule_check(w, report.spec))
     return checks
 
 
@@ -428,8 +387,9 @@ def consistency_checks(
     arr: Arrangement, h3: SurfaceH3Data | None, primes: list[int], seed: int
 ) -> list[CheckResult]:
     """Every entry of the ``check`` command, in its order: weak data, local tables, ``assemble_all``
-    (one ``assembly`` entry if it raises), the sum rule on five arrangements drawn from ``seed``, and
-    the point counts at ``primes``.  A bad prime raises BadPrime before any entry is built."""
+    (only the spectrum sum rule without ``h3``; one ``assembly`` entry if either raises), the sum rule
+    on five arrangements drawn from ``seed``, and the point counts at ``primes``.  A bad prime raises
+    BadPrime before any entry is built."""
     tables = pointcount.count_tables(arr, primes)
     w = weak_comb_data(arr)
     d = w.d
@@ -449,7 +409,7 @@ def consistency_checks(
         detail = "" if ok else f"table total {total} vs Milnor number {sing.milnor_number}"
         checks.append(CheckResult(f"local_dimension_law_k{k}", ok, detail))
     try:
-        checks.extend(assemble_all(arr, h3).checks)
+        checks.extend([_sum_rule_check(w, spectrum(w))] if h3 is None else assemble_all(w, h3).checks)
     except MilnorHodgeError as exc:
         checks.append(CheckResult("assembly", False, f"{exc.code}: {exc}"))
     rng = random.Random(seed)

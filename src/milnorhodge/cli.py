@@ -167,7 +167,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_h2f(args) -> int:
     arr = _load_arrangement(args.arrangement)
     h3 = _load_h3(args.h3x)
-    report = assembly.assemble_all(arr, h3)
+    report = assembly.assemble_all(weak_comb_data(arr), h3)
     payload = {
         "arrangement": arr.describe(),
         "h3x": h3.table.to_json_dict(),
@@ -219,8 +219,7 @@ def _cmd_count(args) -> int:
             "zero_count": t.zero_count,
         }
         if fiber:
-            tw = pointcount.twisted_counts(t, d)
-            row["twisted"] = [tw[j] for j in range(d)]
+            row["twisted"] = list(pointcount.twisted_counts(t))
         else:
             row["complement"] = pointcount.complement_count(t)
         table_rows.append(row)

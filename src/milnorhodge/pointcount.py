@@ -16,15 +16,18 @@ same number of times.
 
 The pass adds classes instead of multiplying values modulo q: the class of
 Q at a point is the sum over the lines of dlog_g(line value) mod d, read
-from one cached table whose entry at 0 is a sentinel larger than any sum of
-d classes.  P^2(F_q) is the point (0 : 0 : 1) plus the q + 1 lines through
-it, the rows (1, r, z) for r < q and (0, 1, z).  On the row (s, t, z) a line
-with c != 0 has the value c (z + u), where u = (a s + b t) / c, so along the
-row its classes are class(c) plus the contiguous window T2[u : u + q] of the
-doubled table.  A line with c = 0 modulo q is constant on each row, b (r + a/b)
-on the row r < q: class(b) plus one window read across the rows, or a when
-b = 0.  The constant classes are added once, as a rotation of the result.
-With three or more varying lines (c != 0) the windows are summed in blocks
+from a table whose entry at 0 is a sentinel larger than any sum of d
+classes.  One cache entry per (q, d) holds that table, doubled, with the
+primitive root g and the histogram H2 below: a prime's root is searched for,
+and its tables built, once.  P^2(F_q) is the point (0 : 0 : 1) plus the
+q + 1 lines through it, the rows (1, r, z) for r < q and (0, 1, z).  On the
+row (s, t, z) a line with c != 0 has the value c (z + u), where
+u = (a s + b t) / c, so along the row its classes are class(c) plus the
+contiguous window T2[u : u + q] of the doubled table.  A line with c = 0
+modulo q is constant on each row, b (r + a/b) on the row r < q: class(b)
+plus one window read across the rows, or a when b = 0.  The constant
+classes are added once, as a rotation of the result.  With three or more
+varying lines (c != 0) the windows are summed in blocks
 of about 2^15 points into a reused buffer, int16 up to d = 32, then clipped
 at Z into one intp buffer and histogrammed.  Lines of one slope class, the
 same b/c, start on the row r < q at u = a/c + r b/c: fixed offsets apart.
@@ -39,9 +42,10 @@ row, meet on exactly one row: r = (a0 - a1)/(m1 - m0) for offsets a/c and
 slopes m = b/c, or r = q when the slopes agree.  That row is taken in closed
 form, (q - 1)/d points in each class 2 class(w) and one zero.  Every other
 row is H2 rotated by 2 class(delta), where H2[s] counts x != 0, -1 with
-class(x) + class(x + 1) = s (cyclotomic numbers of order d): one histogram
-of the rotations and an O(d^2) circular convolution in Python add them up,
-O(q + d^2) work.  Only the brute-force oracle multiplies values modulo q.
+class(x) + class(x + 1) = s (cyclotomic numbers of order d), taken from the
+cache: one histogram of the rotations and an O(d^2) circular convolution in
+Python add them up, O(q + d^2) work.  Only the brute-force oracle
+multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the lines stay
 distinct and nonzero and the intersection data are those over Z.  That is
@@ -141,8 +145,11 @@ class PrimeField:
 
 
 @lru_cache(maxsize=64)
-def _class_table(q: int, g: int, d: int) -> np.ndarray:
-    """Doubled class table T2 = concat(T, T) with T[v] = dlog_g(v) mod d, T[0] = Z.
+def _class_table(q: int, d: int) -> tuple[int, np.ndarray, list[int]]:
+    """What a count at q needs for degree d: g, T2 and H2, built once per (q, d).
+
+    g is the smallest primitive root of F_q.  T2 = concat(T, T) is the doubled
+    class table, with T[v] = dlog_g(v) mod d and T[0] = Z.
 
     The sentinel Z = d(d-1) + 1 exceeds every sum of d classes, so a sum of
     d entries is >= Z exactly when one of them is T[0].  Doubling lets a
@@ -150,10 +157,12 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
     Entries take the narrowest of int16, int32 and int64 that holds a sum of
     d of them: int16 up to d = 32, int32 up to d = 1290.  The powers g^i,
     i = B h + l with B = ceil(sqrt(q - 1)), are one outer product of the
-    g^(B h) and the g^l modulo q.
+    g^(B h) and the g^l modulo q.  H2[s] counts the x != 0, -1 with
+    class(x) + class(x + 1) = s mod d: the cyclotomic numbers of order d.
     """
     import numpy as np
 
+    g = PrimeField.make(q).g
     zero = d * (d - 1) + 1
     doubled = np.empty(2 * q, dtype=next(t for t in (np.int16, np.int32, np.int64) if d * zero <= np.iinfo(t).max))
     step = math.isqrt(q - 2) + 1  # B = ceil(sqrt(q - 1)) for every q >= 2
@@ -165,7 +174,9 @@ def _class_table(q: int, g: int, d: int) -> np.ndarray:
     doubled[powers.ravel()[: q - 1]] = np.arange(q - 1, dtype=np.int32) % d
     doubled[q:] = doubled[:q]
     doubled.flags.writeable = False  # shared by every caller through the cache
-    return doubled
+    del powers  # freed before the pair sums, which then add nothing to the build's peak
+    pairs = np.bincount(doubled[1 : q - 1] + doubled[2:q]).tolist()
+    return g, doubled, [sum(pairs[s::d]) for s in range(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +195,11 @@ def _check_prime(arr: Arrangement, q: int) -> None:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
 
 
-def _lines_mod_q(arr: Arrangement, q: int) -> tuple[PrimeField, list[tuple[int, int, int]]]:
-    """F_q and the forms of ``arr`` reduced modulo q, once ``_check_prime`` passes."""
+def _lines_mod_q(arr: Arrangement, q: int) -> tuple[tuple, list[tuple[int, int, int]]]:
+    """``_class_table(q, d)`` and the forms of ``arr`` reduced modulo q, once ``_check_prime`` passes."""
     _check_prime(arr, q)
-    field = PrimeField.make(q)
-    return field, arr.forms_mod(q, field.g)
+    classes = _class_table(q, arr.d)
+    return classes, arr.forms_mod(q, classes[0])
 
 
 def good_primes(
@@ -251,12 +262,11 @@ def _q_values(lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
     return vals
 
 
-def _aggregate(vals: np.ndarray, field: PrimeField, d: int) -> tuple[np.ndarray, int]:
+def _aggregate(vals: np.ndarray, table: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     import numpy as np
 
     nz = vals[vals != 0]
-    classes = _class_table(field.p, field.g, d)[nz]
-    return np.bincount(classes, minlength=d), int(vals.size - nz.size)
+    return np.bincount(table[nz], minlength=d), int(vals.size - nz.size)
 
 
 # Points of P^2 summed per block, whatever q is: the sums, the clip bound and a
@@ -278,8 +288,7 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
     import numpy as np
 
     d = arr.d
-    field, lines = _lines_mod_q(arr, q)
-    table = _class_table(q, field.g, d)
+    (g, table, h2), lines = _lines_mod_q(arr, q)
     # row r is (1, r, z) for r < q and (0, 1, z) for r = q.  A line with c != 0 takes class(c)
     # plus T2[u : u + q] there, u = a/c + r b/c (b/c on the row q), kept as its offset a/c under
     # its slope b/c.  One with c = 0 is b (r + a/b) on the row r < q and b on the row q: class(b)
@@ -297,7 +306,10 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
         else:
             flat[q] += table[0]
         shift += table.item(c or b or a)
-    classes, zeros = (_window_rows if varying > 2 else _rotated_rows)(table, flat, slopes, q, d)
+    if varying > 2:
+        classes, zeros = _window_rows(table, flat, slopes, q, d)
+    else:
+        classes, zeros = _rotated_rows(table, flat, slopes, q, d, h2)
     shift %= d
     classes = classes[d - shift :] + classes[: d - shift]
     # the point (0 : 0 : 1), where every line takes its value c
@@ -305,7 +317,7 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
         zeros += 1
     else:
         classes[shift] += 1
-    return CountTable(q, field.g, d, tuple(n * (q - 1) for n in classes), zeros * (q - 1) + 1)
+    return CountTable(q, g, d, tuple(n * (q - 1) for n in classes), zeros * (q - 1) + 1)
 
 
 def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
@@ -361,8 +373,8 @@ def _window_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int
     return folded.reshape(d, d).sum(axis=0).tolist(), int(hist[zero])
 
 
-def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int):
-    """The same as ``_window_rows`` for at most two varying lines, row by rotated row."""
+def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[int]], q: int, d: int, h2: list[int]):
+    """The same as ``_window_rows`` for at most two varying lines, row by rotated row, given H2."""
     import numpy as np
 
     zero, n = table.item(0), (q - 1) // d
@@ -390,8 +402,6 @@ def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[in
     hist = [sum(sums[s::d]) for s in range(d)]
     if dm and flat.item(q) < zero:
         hist[flat.item(q) % d] += 1  # the row q, where delta = dm
-    pairs = np.bincount(table[1 : q - 1] + table[2:q]).tolist()
-    h2 = [sum(pairs[s::d]) for s in range(d)]
     for s, rows in enumerate(hist):
         for t, k in enumerate(h2 if rows else ()):
             classes[(s + spin + t) % d] += rows * k
@@ -406,30 +416,24 @@ def brute_force_count(arr: Arrangement, q: int) -> CountTable:
     """
     import numpy as np
 
-    field, lines = _lines_mod_q(arr, q)
+    (g, table, _), lines = _lines_mod_q(arr, q)
     rng = np.arange(q, dtype=np.int64)
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
     vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
-    class_counts, zero_count = _aggregate(vals, field, arr.d)
-    return CountTable(q, field.g, arr.d, tuple(class_counts.tolist()), zero_count)
+    class_counts, zero_count = _aggregate(vals, table, arr.d)
+    return CountTable(q, g, arr.d, tuple(class_counts.tolist()), zero_count)
 
 
-def twisted_counts(table: CountTable, d: int) -> dict[int, int]:
-    """Fixed points of lam^j . Frobenius on the fiber, for each twist j.
+def twisted_counts(table: CountTable) -> tuple[int, ...]:
+    """Fixed points of lam^j . Frobenius on the fiber, for the twists j = 0, ..., d - 1.
 
     These equal #{y : Q(y) = s_j} with s_j in the class of g^j; each class
     has (q - 1) / d elements sharing one fiber count, so the class census
     divides out exactly.
     """
-    if d != table.d:
-        raise ValueError("twist modulus differs from the count table")
-    q = table.q
-    out = {}
-    for j in range(d):
-        total = table.class_counts[j] * d
-        assert total % (q - 1) == 0
-        out[j] = total // (q - 1)
-    return out
+    totals = [n * table.d for n in table.class_counts]
+    assert all(t % (table.q - 1) == 0 for t in totals)
+    return tuple(t // (table.q - 1) for t in totals)
 
 
 def complement_count(table: CountTable) -> int:
@@ -549,7 +553,7 @@ _FIT_DEGREE = {"fiber": 2, "complement": 3}
 
 
 def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
-    counts = [(t.q, twisted_counts(t, d)) for t in tables]
+    counts = [(t.q, twisted_counts(t)) for t in tables]
     seqs = {j: [(q, tw[j]) for q, tw in counts] for j in range(d)}
     return fit_polynomials(seqs, degree=_FIT_DEGREE["fiber"])
 

@@ -109,7 +109,7 @@ def test_criterion_04_ceva_spectrum_from_weak_data():
 
 
 def test_criterion_05_ceva_assembly_headline():
-    report = assemble_all(ceva_arrangement(), ceva_h3())
+    report = assemble_all(weak_comb_data(ceva_arrangement()), ceva_h3())
     dims_ok = report.h1f.dim_of_character(3) == 2 and report.h1f.dim_of_character(6) == 2
     euler_ok = all(
         -report.h1f.dim_of_character(j) + report.h2f.dim_of_character(j) == 9
@@ -132,7 +132,7 @@ def test_criterion_06_weight_vanishing():
     fixtures.append((parse_arrangement((DATA / "generic3.txt").read_text()), SurfaceH3Data.zero(3)))
     ok = True
     for arr, h3 in fixtures:
-        report = assemble_all(arr, h3)
+        report = assemble_all(weak_comb_data(arr), h3)
         ok = ok and all(p + q == 1 for (p, q) in report.h1f.support())
         ok = ok and all(p + q != 4 for (p, q) in report.h2f.support())
     record(6, "assembled H1(F) pure weight 1 and H2(F) free of weight 4", ok)

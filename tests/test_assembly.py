@@ -368,8 +368,7 @@ def test_spectrum_entries_come_out_in_ascending_order(w):
     assert entries == _spectrum_entries_by_put(w)
 
 
-@pytest.mark.parametrize("h3", [None, ceva_h3()], ids=["spectrum only", "with H3"])
-def test_assembly_builds_each_local_table_once(monkeypatch, h3):
+def test_assembly_builds_each_local_table_once(monkeypatch):
     calls = []
 
     def counting(sing):
@@ -377,15 +376,15 @@ def test_assembly_builds_each_local_table_once(monkeypatch, h3):
         return local_hodge_table(sing)
 
     monkeypatch.setattr("milnorhodge.assembly.local_hodge_table", counting)
-    report = assemble_all(ceva_arrangement(), h3)
+    report = assemble_all(weak_comb_data(ceva_arrangement()), ceva_h3())
     assert report.all_pass()
     assert calls == [(3, 9)]
 
 
 def _spectrum_via_chain(arr, h3):
     """Recompute the spectrum from the fully assembled fiber tables."""
-    report = assemble_all(arr, h3)
-    w = report.weak
+    w = weak_comb_data(arr)
+    report = assemble_all(w, h3)
     d = w.d
     out = {}
 
@@ -426,15 +425,8 @@ def test_spectrum_chain_boolean_zero_h3():
 # full assembly and identity checks
 
 
-def test_assemble_spectrum_only_without_h3():
-    report = assemble_all(ceva_arrangement())
-    assert report.h1f is None and report.h2f is None and report.px is None
-    assert report.spec.m("4/3") == -2
-    assert report.all_pass()
-
-
 def test_assemble_ceva_full(h3_ceva):
-    report = assemble_all(ceva_arrangement(), h3_ceva)
+    report = assemble_all(weak_comb_data(ceva_arrangement()), h3_ceva)
     assert report.all_pass(), [c for c in report.checks if not c.passed]
     assert report.h1f.dim_of_character(3) == 2
     assert report.h1f.dim_of_character(6) == 2
@@ -450,7 +442,7 @@ def test_assemble_ceva_full(h3_ceva):
 
 
 def test_assemble_p_tables(h3_ceva):
-    report = assemble_all(ceva_arrangement(), h3_ceva)
+    report = assemble_all(weak_comb_data(ceva_arrangement()), h3_ceva)
     # P(X) = 1 + uv + (uv)^2 + H2_0 - H3
     assert report.px.entry(0, 0) == ReprClass.trivial(9)
     assert report.px.entry(2, 1) == -1 * h3_ceva.table.entry(2, 1)
@@ -468,7 +460,7 @@ def test_checks_fail_on_corrupted_h3(data_dir):
 
     blob = json.loads((data_dir / "ceva_h3x_corrupt.json").read_text())
     h3 = SurfaceH3Data(HT.from_json_dict(blob))
-    report = assemble_all(ceva_arrangement(), h3)
+    report = assemble_all(weak_comb_data(ceva_arrangement()), h3)
     failed = {c.name for c in report.checks if not c.passed}
     assert failed == {"conjugation_symmetry", "euler_characteristic_identity", "link_localization_identity"}
 
@@ -507,7 +499,7 @@ def test_pencil_assembly_pins_h3_orientation():
     good = SurfaceH3Data(
         HodgeTable(3, {(2, 1): ReprClass.character(3, 2), (1, 2): ReprClass.character(3, 1)})
     )
-    report = assemble_all(pencil, good)
+    report = assemble_all(weak_comb_data(pencil), good)
     assert report.all_pass(), [c for c in report.checks if not c.passed]
     assert report.h1f.dim_of_character(1) == report.h1f.dim_of_character(2) == 1
     assert report.h2f.support() == []
@@ -516,13 +508,13 @@ def test_pencil_assembly_pins_h3_orientation():
         HodgeTable(3, {(2, 1): ReprClass.character(3, 1), (1, 2): ReprClass.character(3, 2)})
     )
     with pytest.raises(NegativeMultiplicity):
-        assemble_all(pencil, flipped)
+        assemble_all(weak_comb_data(pencil), flipped)
 
 
 def test_checks_degenerate_smooth_case():
     # one line: no singular points; the localization identity reads 0 = 0
     arr = LineArrangement(((1, 0, 0),))
-    report = assemble_all(arr, SurfaceH3Data.zero(1))
+    report = assemble_all(weak_comb_data(arr), SurfaceH3Data.zero(1))
     assert report.all_pass()
     # X is the plane here, so P_c(F) is the affine plane class
     assert report.pcf == HodgeTable(1, {(2, 2): ReprClass.trivial(1)})
@@ -559,8 +551,9 @@ def _suite(h3=None):
 
 def _corrupted(edit):
     """check_identities on Ceva's assembly after ``edit`` replaced some fields of its report."""
-    report = assemble_all(ceva_arrangement(), ceva_h3())
-    return check_identities(replace(report, **edit(report)), milnor_sum_table(report.weak))
+    w = weak_comb_data(ceva_arrangement())
+    report = assemble_all(w, ceva_h3())
+    return check_identities(w, milnor_sum_table(w), replace(report, **edit(report)))
 
 
 def _one_more(table: HodgeTable, p: int, q: int) -> HodgeTable:

@@ -372,15 +372,15 @@ def test_repeated_prime_is_bad_prime(capsys):
 
 
 def test_count_finds_one_primitive_root_per_prime(capsys, monkeypatch):
-    # the prime checks of check_request and count_tables build no field: only the count does
+    # the prime checks of check_request and count_tables build no field: only the class table
+    # does, once per (q, d), and every later count at q reads its root from the cache
     from milnorhodge import pointcount
 
     calls = []
     make = pointcount.PrimeField.make
     monkeypatch.setattr(pointcount.PrimeField, "make", classmethod(lambda cls, p: calls.append(p) or make(p)))
+    pointcount._class_table.cache_clear()
     pointcount.count_tables(boolean_arrangement(), [7, 13, 19, 31])
-    assert calls == [7, 13, 19, 31]
-    calls.clear()
     code, _ = run_cli(capsys, "count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
                       "--primes", "7,13,19,31")
     assert code == 0
@@ -675,6 +675,38 @@ def test_check_reports_first_differing_count(capsys, monkeypatch):
     details = _failed_details(out)
     assert details["count_oracle_q7"] == f"class_counts[1]: fast {fast} vs brute force {fast + 1}"
     assert set(details) == {"count_oracle_q7", "count_oracle_q13"}
+
+
+def test_check_computes_the_weak_data_of_its_arrangement_once(capsys, monkeypatch):
+    # the assembly reads the weak data that the suite computed: no second pass over the lines
+    from milnorhodge import assembly, cli, pointcount
+
+    seen = []
+    real = assembly.weak_comb_data
+    for module in (assembly, cli, pointcount):
+        monkeypatch.setattr(module, "weak_comb_data", lambda arr: seen.append(arr) or real(arr))
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 0
+    names = {c["name"] for c in json.loads(out)["checks"]}
+    assert {"complement_charpoly_q7", "complement_charpoly_q13"} <= names  # two primes
+    assert seen.count(boolean_arrangement()) == 1
+
+
+def test_check_without_h3_reports_a_raising_spectrum_once(capsys, monkeypatch):
+    # the spectrum stands in for the assembly without --h3x: when it raises, the suite
+    # gives the one assembly entry that a raising assembly gives, and no sum-rule entry
+    from milnorhodge import assembly
+    from milnorhodge.errors import SumRuleViolation
+
+    def raising(w):
+        raise SumRuleViolation("spectrum sums to 1, expected chi(F) - 1 = 0")
+
+    monkeypatch.setattr(assembly, "spectrum", raising)
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 1
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names.count("assembly") == 1 and "spectrum_sum_rule" not in names
+    assert _failed_details(out)["assembly"] == "sum_rule_violation: spectrum sums to 1, expected chi(F) - 1 = 0"
 
 
 def test_golden_files_match_the_benchmark_copies():
