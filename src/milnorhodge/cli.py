@@ -3,8 +3,11 @@
 Every command prints one JSON document on stdout (or a human-readable sketch
 with --pretty) and exits 0 on success, 1 on a domain error (with a structured
 error object), 2 on usage errors.  Output is deterministic: fixed key order,
-no timestamps, thread-count independent.  Handlers only read, validate and
-print: even the ``check`` suite is built in ``assembly.consistency_checks``.
+no timestamps, thread-count independent.  A handler takes the parsed
+arguments and the loaded arrangement and returns its document, its --pretty
+text and its exit code; ``main`` alone loads ``--arrangement``, heads the
+document with its description, prints and returns the code.  Even the
+``check`` suite is built in ``assembly.consistency_checks``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load_arrangement(path: str) -> Arrangement:
-    return parse_arrangement(_read_text(path))
-
-
 def _load_h3(path: str) -> assembly.SurfaceH3Data:
     text = _read_text(path)
     try:
@@ -58,10 +57,6 @@ def _load_h3(path: str) -> assembly.SurfaceH3Data:
         return assembly.SurfaceH3Data(table)
     except ValueError as exc:
         raise MilnorHodgeError(str(exc)) from exc
-
-
-def _emit(payload: dict, pretty: bool, pretty_text: str) -> None:
-    sys.stdout.write(pretty_text if pretty else json.dumps(payload, indent=2) + "\n")
 
 
 def _table_lines(table: HodgeTable) -> list[str]:
@@ -86,17 +81,15 @@ def _check_payload(checks) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns (document, --pretty text, exit code)
 
 
-def _cmd_combinatorics(args) -> int:
-    arr = _load_arrangement(args.arrangement)
+def _cmd_combinatorics(args, arr: Arrangement) -> tuple[dict, str, int]:
     w = weak_comb_data(arr)
     payload = {
-        "arrangement": arr.describe(),
         "points": [
             {
-                "point": list(pt) if isinstance(pt, tuple) else pt,
+                "point": pt,  # a tuple prints as a list, a non-rational point as its label
                 "multiplicity": len(lines),
                 "lines": sorted(lines),
             }
@@ -117,11 +110,10 @@ def _cmd_combinatorics(args) -> int:
         f"b1(M)={w.b1M} b2(M)={w.b2M} chi(M)={w.chiM} chi(F)={w.chiF}\n"
         f"charpoly={w.charpoly}\n"
     )
-    _emit(payload, args.pretty, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_local_hodge(args) -> int:
+def _cmd_local_hodge(args, arr: None) -> tuple[dict, str, int]:
     sing = OrdinarySing(args.k, args.d)
     _bound_entries(5 * sing.d + sing.milnor_number)
     table = local_hodge_table(sing).table
@@ -136,40 +128,34 @@ def _cmd_local_hodge(args) -> int:
         [f"local Hodge table for k={sing.k}, d={sing.d} (dim {table.total_dim()})"]
         + _table_lines(table)
     ) + "\n"
-    _emit(payload, args.pretty, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_fermat(args) -> int:
+def _cmd_fermat(args, arr: None) -> tuple[dict, str, int]:
     if args.d < 3:
         raise DegreeTooSmall(f"Fermat surface table needs degree >= 3, got {args.d}")
     _bound_entries(3 * args.d)
     table = assembly.fermat_surface_table(args.d)
     payload = {"d": args.d, "table": table.to_json_dict()}
     text = "\n".join([f"Fermat surface primitive H2, degree {args.d}"] + _table_lines(table)) + "\n"
-    _emit(payload, args.pretty, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_spectrum(args) -> int:
-    arr = _load_arrangement(args.arrangement)
+def _cmd_spectrum(args, arr: Arrangement) -> tuple[dict, str, int]:
     spec = assembly.spectrum(weak_comb_data(arr))
-    payload = {"arrangement": arr.describe(), **spec.to_json_dict()}
+    payload = spec.to_json_dict()
     text = "\n".join(
         [f"spectrum, d={spec.d}, chi(F)={spec.chi_fiber}"]
         + [f"  m[{a}] = {m}" for a, m in spec.entries]
         + [f"  total = {spec.total()}"]
     ) + "\n"
-    _emit(payload, args.pretty, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_h2f(args) -> int:
-    arr = _load_arrangement(args.arrangement)
+def _cmd_h2f(args, arr: Arrangement) -> tuple[dict, str, int]:
     h3 = _load_h3(args.h3x)
     report = assembly.assemble_all(weak_comb_data(arr), h3)
     payload = {
-        "arrangement": arr.describe(),
         "h3x": h3.table.to_json_dict(),
         "H2_0X": report.h2x.to_json_dict(),
         "H1F": report.h1f.to_json_dict(),
@@ -188,10 +174,9 @@ def _cmd_h2f(args) -> int:
         + _table_lines(report.h2f)
         + [f"checks: {'all pass' if report.all_pass() else 'FAILURES'}"]
     ) + "\n"
-    _emit(payload, args.pretty, text)
     # exit 1 is reserved for domain errors; failing consistency checks are
     # reported in the payload (the check command gates on them)
-    return 0
+    return payload, text, 0
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -202,9 +187,8 @@ def _parse_primes(text: str) -> list[int]:
     return [int(tok) for tok in tokens]
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, arr: Arrangement) -> tuple[dict, str, int]:
     """``count``, and ``hodge-from-counts``, which adds the extracted polynomial or a witness."""
-    arr = _load_arrangement(args.arrangement)
     primes = _parse_primes(args.primes)
     pointcount.check_request(arr, primes, args.target)
     tables = pointcount.count_tables(arr, primes, args.threads)
@@ -234,7 +218,6 @@ def _cmd_count(args) -> int:
         "witnesses": [[j, q] for j, q in fit.witnesses],
     }
     payload = {
-        "arrangement": arr.describe(),
         "target": args.target,
         "primes": primes,
         "tables": table_rows,
@@ -250,27 +233,20 @@ def _cmd_count(args) -> int:
         payload["result"] = "not_polynomial_count"
         payload["witness"] = fit.first_witness()
         text = f"counts not polynomial, witness prime {payload['witness']}\n"
-    _emit(payload, args.pretty, text)
-    return 0
+    return payload, text, 0
 
 
-def _cmd_check(args) -> int:
-    arr = _load_arrangement(args.arrangement)
+def _cmd_check(args, arr: Arrangement) -> tuple[dict, str, int]:
     primes = _parse_primes(args.primes) if args.primes else [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
     h3 = _load_h3(args.h3x) if args.h3x else None
     checks = assembly.consistency_checks(arr, h3, primes, args.seed)
     all_pass = all(c.passed for c in checks)
-    payload = {
-        "arrangement": arr.describe(),
-        "checks": _check_payload(checks),
-        "all_pass": all_pass,
-    }
+    payload = {"checks": _check_payload(checks), "all_pass": all_pass}
     text = "\n".join(
         f"{'PASS' if c.passed else 'FAIL'}  {c.name}" + (f"  ({c.detail})" if c.detail else "")
         for c in checks
     ) + ("\nall checks passed\n" if all_pass else "\nSOME CHECKS FAILED\n")
-    _emit(payload, args.pretty, text)
-    return 0 if all_pass else 1
+    return payload, text, 0 if all_pass else 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +264,9 @@ def _integer(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="human-readable output")
-    counting = argparse.ArgumentParser(add_help=False, parents=[common])
-    counting.add_argument("--arrangement", required=True)
+    arranged = argparse.ArgumentParser(add_help=False, parents=[common])
+    arranged.add_argument("--arrangement", required=True)
+    counting = argparse.ArgumentParser(add_help=False, parents=[arranged])
     counting.add_argument("--target", choices=("fiber", "complement"), required=True)
     counting.add_argument("--primes", required=True, help="comma-separated primes, all 1 mod d")
     counting.add_argument("--threads", type=_integer, default=1, help="worker threads for counting")
@@ -300,8 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("combinatorics", parents=[common], help="intersection data and invariants")
-    p.add_argument("--arrangement", required=True)
+    p = sub.add_parser("combinatorics", parents=[arranged], help="intersection data and invariants")
     p.set_defaults(func=_cmd_combinatorics)
 
     p = sub.add_parser("local-hodge", parents=[common], help="local Milnor fiber Hodge table")
@@ -313,12 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_integer, required=True)
     p.set_defaults(func=_cmd_fermat)
 
-    p = sub.add_parser("spectrum", parents=[common], help="arrangement spectrum from weak data")
-    p.add_argument("--arrangement", required=True)
+    p = sub.add_parser("spectrum", parents=[arranged], help="arrangement spectrum from weak data")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("h2f", parents=[common], help="assembled fiber Hodge tables")
-    p.add_argument("--arrangement", required=True)
+    p = sub.add_parser("h2f", parents=[arranged], help="assembled fiber Hodge tables")
     p.add_argument("--h3x", required=True, help="JSON file with H3(X) character data")
     p.set_defaults(func=_cmd_h2f)
 
@@ -330,8 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("check", parents=[common], help="run the full consistency suite")
-    p.add_argument("--arrangement", required=True)
+    p = sub.add_parser("check", parents=[arranged], help="run the full consistency suite")
     p.add_argument("--h3x", default=None)
     p.add_argument("--primes", default=None)
     p.add_argument("--seed", type=_integer, default=0, help="seed for the random arrangement checks")
@@ -346,7 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be at least 1, got {args.threads}")
     try:
-        return args.func(args)
+        arr = parse_arrangement(_read_text(args.arrangement)) if "arrangement" in args else None
+        payload, text, code = args.func(args, arr)
+        if arr is not None:
+            payload = {"arrangement": arr.describe(), **payload}
+        sys.stdout.write(text if args.pretty else json.dumps(payload, indent=2) + "\n")
+        return code
     except MilnorHodgeError as exc:
         code, message = exc.code, str(exc)
     except FileNotFoundError as exc:

@@ -18,10 +18,10 @@ The pass adds classes instead of multiplying values modulo q: the class of
 Q at a point is the sum over the lines of dlog_g(line value) mod d, read
 from a table whose entry at 0 is a sentinel larger than any sum of d
 classes.  One cache entry per (q, d) holds that table, doubled, with the
-primitive root g and the histogram H2 below: a prime's root is searched for,
-and its tables built, once.  P^2(F_q) is the point (0 : 0 : 1) plus the
-q + 1 lines through it, the rows (1, r, z) for r < q and (0, 1, z).  On the
-row (s, t, z) a line with c != 0 has the value c (z + u), where
+primitive root g and the histogram H2 below: the root is searched for only
+when q is counted at, once per entry.  P^2(F_q) is the point (0 : 0 : 1)
+plus the q + 1 lines through it, the rows (1, r, z) for r < q and (0, 1, z).
+On the row (s, t, z) a line with c != 0 has the value c (z + u), where
 u = (a s + b t) / c, so along the row its classes are class(c) plus the
 contiguous window T2[u : u + q] of the doubled table.  A line with c = 0
 modulo q is constant on each row, b (r + a/b) on the row r < q: class(b)
@@ -91,6 +91,8 @@ __all__ = [
     "complement_count",
     "count_tables",
     "fit_polynomials",
+    "fiber_fit",
+    "complement_fit",
     "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
@@ -126,22 +128,24 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """A prime field together with its smallest primitive root."""
+    """A prime field F_p; its primitive root is searched for only when it is counted at."""
 
     p: int
-    g: int
 
     @classmethod
     def make(cls, p: int) -> "PrimeField":
         if not _is_prime(p):
             raise BadPrime(f"{p} is not prime")
-        if p == 2:
-            return cls(2, 1)
-        factors = _prime_factors(p - 1)
-        g = 2
-        while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
-            g += 1
-        return cls(p, g)
+        return cls(p)
+
+
+def _primitive_root(q: int) -> int:
+    """The smallest primitive root of the prime q: 1 for q = 2, where q - 1 has no prime factor."""
+    factors = _prime_factors(q - 1)
+    g = 1
+    while any(pow(g, (q - 1) // r, q) == 1 for r in factors):
+        g += 1
+    return g
 
 
 @lru_cache(maxsize=64)
@@ -162,7 +166,7 @@ def _class_table(q: int, d: int) -> tuple[int, np.ndarray, list[int]]:
     """
     import numpy as np
 
-    g = PrimeField.make(q).g
+    g = _primitive_root(q)
     zero = d * (d - 1) + 1
     doubled = np.empty(2 * q, dtype=next(t for t in (np.int16, np.int32, np.int64) if d * zero <= np.iinfo(t).max))
     step = math.isqrt(q - 2) + 1  # B = ceil(sqrt(q - 1)) for every q >= 2
@@ -221,7 +225,7 @@ def good_primes(
     found: list[PrimeField] = []
     for q in range(start + (1 - start) % d, limit + 1, d):
         if _is_prime(q) and bad % q:
-            found.append(PrimeField.make(q))
+            found.append(PrimeField(q))
             if len(found) == count:
                 return found
     raise NotEnoughPrimes(f"found {len(found)} good primes up to {limit}, needed {count}")

@@ -69,6 +69,21 @@ def test_golden_combinatorics_boolean(capsys):
     check_golden("combinatorics_boolean.json", out)
 
 
+def test_combinatorics_ceva_prints_rational_points_as_lists_and_the_rest_as_labels(capsys):
+    code, out = run_cli(capsys, "combinatorics", "--arrangement", str(DATA / "ceva.txt"))
+    assert code == 0
+    payload = json.loads(out)
+    points = payload["points"]
+    assert len(points) == 12
+    assert all(p["multiplicity"] == 3 and len(p["lines"]) == 3 for p in points)
+    rational = [p["point"] for p in points if isinstance(p["point"], list)]
+    assert sorted(rational) == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
+    labels = {p["point"] for p in points if isinstance(p["point"], str)}
+    # w a primitive cube root of unity: (1 : 1 : 1) is rational, the other eight are not
+    assert labels == {f"(1 : w^{a} : w^{b})" for a in range(3) for b in range(3)} - {"(1 : w^0 : w^0)"}
+    assert payload["weak_data"]["m"] == {"3": 12}
+
+
 def test_golden_h2f_ceva(capsys):
     code, out = run_cli(
         capsys,
@@ -372,19 +387,26 @@ def test_repeated_prime_is_bad_prime(capsys):
 
 
 def test_count_finds_one_primitive_root_per_prime(capsys, monkeypatch):
-    # the prime checks of check_request and count_tables build no field: only the class table
-    # does, once per (q, d), and every later count at q reads its root from the cache
+    # the prime checks of check_request and count_tables and the search of good_primes look
+    # for no root: only the class table does, once per (q, d), and every later count at q
+    # reads its root from the cache
     from milnorhodge import pointcount
 
     calls = []
-    make = pointcount.PrimeField.make
-    monkeypatch.setattr(pointcount.PrimeField, "make", classmethod(lambda cls, p: calls.append(p) or make(p)))
+    search = pointcount._primitive_root
+    monkeypatch.setattr(pointcount, "_primitive_root", lambda q: calls.append(q) or search(q))
     pointcount._class_table.cache_clear()
     pointcount.count_tables(boolean_arrangement(), [7, 13, 19, 31])
     code, _ = run_cli(capsys, "count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
                       "--primes", "7,13,19,31")
     assert code == 0
     assert calls == [7, 13, 19, 31]
+
+    calls.clear()
+    pointcount._class_table.cache_clear()
+    code, _ = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"))
+    assert code == 0
+    assert calls == [7, 13]
 
 
 def test_bad_prime_error(capsys):
@@ -785,6 +807,8 @@ def test_pretty_mode_of_every_command(capsys, argv, first_line, tables):
         ["fermat", "--d", "9", "--seed", "3"],
         ["count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber", "--primes", "7",
          "--seed", "3"],
+        ["local-hodge", "--k", "3", "--d", "9", "--arrangement", str(DATA / "boolean.txt")],
+        ["fermat", "--d", "9", "--arrangement", str(DATA / "boolean.txt")],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -793,6 +817,27 @@ def test_options_go_only_to_commands_that_read_them(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["combinatorics"],
+        ["spectrum"],
+        ["h2f", "--h3x", str(DATA / "ceva_h3x.json")],
+        ["count", "--target", "fiber", "--primes", "7,13"],
+        ["hodge-from-counts", "--target", "fiber", "--primes", "7,13"],
+        ["check"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_that_read_an_arrangement_require_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"the following arguments are required: .*--arrangement", captured.err)
 
 
 def test_check_reads_seed(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from milnorhodge.pointcount import (
     CountTable,
     FittedPoly,
     PrimeField,
+    _primitive_root,
     brute_force_count,
     complement_count,
     complement_fit,
@@ -157,7 +158,7 @@ def test_bad_modulus_and_forms_mod_match_census_mod_q(arr, lines_mod):
     assert len(primes) > 60
     _assert_bad_modulus_matches_census(arr, lines_mod, primes)
     for q in primes:
-        assert sorted(arr.forms_mod(q, PrimeField.make(q).g)) == sorted(lines_mod(q))
+        assert sorted(arr.forms_mod(q, _primitive_root(q))) == sorted(lines_mod(q))
 
 
 def test_bad_prime_wrong_residue():
@@ -217,8 +218,8 @@ def test_good_primes_equal_a_plain_scan(arr):
 
 
 def test_prime_field_generators():
-    assert PrimeField.make(7).g == 3
-    assert PrimeField.make(13).g == 2
+    assert _primitive_root(7) == 3
+    assert _primitive_root(13) == 2
     with pytest.raises(BadPrime):
         PrimeField.make(9)
 
@@ -468,10 +469,11 @@ def test_class_table_equals_repeated_multiplication():
     from milnorhodge.pointcount import _class_table
 
     for q in (q for q in range(2, 5000) if all(q % f for f in range(2, math.isqrt(q) + 1))):
-        g = PrimeField.make(q).g
+        g = _primitive_root(q)
         dlog, x = [0] * q, 1
         for i in range(q - 1):
             dlog[x], x = i, x * g % q
+        assert len(set(dlog[1:])) == q - 1, q  # g generates F_q^*
         dlog = np.array(dlog)
         for d in (d for d in range(1, 65) if (q - 1) % d == 0):
             expected = dlog % d
@@ -718,7 +720,7 @@ def test_boolean_counts_without_the_block_loop(monkeypatch):
     q = 1999
     table = count_classes(boolean_arrangement(), q)
     # xyz lies in each class on (q - 1)^3 / 3 points and vanishes on the rest
-    assert table == CountTable(q, PrimeField.make(q).g, 3, ((q - 1) ** 3 // 3,) * 3, q**3 - (q - 1) ** 3)
+    assert table == CountTable(q, _primitive_root(q), 3, ((q - 1) ** 3 // 3,) * 3, q**3 - (q - 1) ** 3)
 
 
 def test_two_varying_lines_count_without_the_block_loop(monkeypatch, data_dir):
