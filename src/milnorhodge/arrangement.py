@@ -5,23 +5,19 @@ one, first nonzero coefficient positive), enforced in one place: the
 ``LineArrangement`` constructor, which also rejects zero, repeated and missing
 forms.  Pairwise cross products over Z give ``intersection_data``, the exact
 rank-2 incidence map (point -> indices of its lines), which serves the
-``combinatorics`` command, the bad modulus and the ``weak_data_pair_count``
-check.  Every downstream Hodge quantity consumes only the weak combinatorial
-data (the line count d and the census m_k of points of multiplicity k), and
-these are counted without points: on each line the later lines fall into
-groups by where they meet it, a point of multiplicity k gives one group of
-each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the number of
-groups of size s.
+``combinatorics`` command, the point count of the good-reduction rule and the
+``weak_data_pair_count`` check.  Every downstream Hodge quantity consumes only
+the weak combinatorial data (the line count d and the census m_k of points of
+multiplicity k), and these are counted without points: on each line the later
+lines fall into groups by where they meet it, a point of multiplicity k gives
+one group of each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the
+number of groups of size s.
 
-Two types share one interface (``d``, the bad modulus, ``forms_mod`` and ``describe``):
+Two types share one interface (``d``, ``forms_mod(q)`` and ``describe``):
 ``LineArrangement`` holds rational lines, and ``CevaArrangement``, whose lines need cube
 roots of unity, lists its twelve points itself.  Only ``intersection_data`` and
-``weak_comb_data`` tell them apart.
-
-Each arrangement also carries one integer, its bad modulus N: reduction
-modulo a prime q keeps the lines distinct and nonzero and the intersection
-data exact precisely when q does not divide N, so point counting over F_q
-decides good reduction by one remainder.
+``weak_comb_data`` tell them apart.  Which primes reduce well is decided in
+``pointcount`` from ``forms_mod`` and the point count alone.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Mapping
 
 from .errors import DuplicateLine, ParseError, ZeroForm
@@ -90,26 +86,8 @@ class LineArrangement:
     def d(self) -> int:
         return len(self.lines)
 
-    @cached_property
-    def bad_modulus(self) -> int:
-        """The integer N: modulo a prime q the incidence data survive iff q does not divide N.
-
-        The lines have content one, so none vanishes modulo q.  N is the lcm of the content of
-        every pairwise cross product (q divides it when two lines coincide) and of every nonzero
-        value of a line at an intersection point (when the line passes through the point modulo
-        q, which merges it with another point).
-        """
-        forms = self.lines
-        points = intersection_data(self)
-        values: set[int] = set()
-        for a, b, c in forms:
-            values.update([a * x + b * y + c * z for x, y, z in points])
-        values.discard(0)  # the line passes through the point
-        values.update(math.gcd(*_cross(f, g)) for i, f in enumerate(forms) for g in forms[i + 1 :])
-        return math.lcm(*values)
-
-    def forms_mod(self, q: int, g: int) -> list[Triple]:
-        """The defining forms reduced modulo the prime q (g, a primitive root, is unused)."""
+    def forms_mod(self, q: int) -> list[Triple]:
+        """The defining forms reduced modulo the prime q."""
         return [(a % q, b % q, c % q) for a, b, c in self.lines]
 
     def describe(self) -> dict:
@@ -122,13 +100,13 @@ class CevaArrangement:
     primitive cube root of unity, which meet in twelve triple points.  It has no rational forms."""
 
     d = 9
-    # the forms over Z[w] fail only modulo 3: each nonzero value of a line at
-    # one of its points is a unit or has norm 3
-    bad_modulus = 3
 
-    def forms_mod(self, q: int, g: int) -> list[Triple]:
-        """The nine forms reduced modulo q with w = g^((q-1)/3), a cube root of unity when 3 divides q - 1."""
-        w = pow(g, (q - 1) // 3, q)
+    def forms_mod(self, q: int) -> list[Triple]:
+        """The nine forms modulo the prime q for w a primitive cube root of unity, or w = 1, so that
+        they coincide in threes, when q != 1 (mod 3).  w and w^2 give the same nine lines."""
+        w = 1
+        if q % 3 == 1:  # x^((q-1)/3) is a cube root of unity, primitive when x is not a cube
+            w = next(w for x in range(2, q) if (w := pow(x, (q - 1) // 3, q)) != 1)
         roots = [-pow(w, j, q) % q for j in range(3)]
         return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
 
@@ -275,7 +253,15 @@ def parse_arrangement(text: str) -> Arrangement:
 
 
 def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4) -> LineArrangement:
-    """Deterministically sample d distinct small-coefficient lines."""
+    """Deterministically sample d distinct lines with coefficients in [-coeff_bound, coeff_bound].
+
+    ValueError when d exceeds the number of such lines, the primitive triples up to sign.
+    """
+    primitive = [0]  # primitive triples in [-m, m]^3: the others have content k > 1
+    for m in range(1, coeff_bound + 1):
+        primitive.append((2 * m + 1) ** 3 - 1 - sum(primitive[m // k] for k in range(2, m + 1)))
+    if d > (available := primitive[-1] // 2):
+        raise ValueError(f"only {available} lines have coefficients in [-{coeff_bound}, {coeff_bound}], not {d}")
     lines: dict[Triple, None] = {}  # canonical forms in draw order
     while len(lines) < d:
         coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(3))
@@ -286,10 +272,6 @@ def random_rational_arrangement(rng: random.Random, d: int, coeff_bound: int = 4
 
 # ---------------------------------------------------------------------------
 # incidence structure
-
-
-def _cross(u: Triple, v: Triple) -> Triple:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def intersection_data(arr: Arrangement) -> dict[Triple | str, frozenset[int]]:

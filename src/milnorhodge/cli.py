@@ -67,7 +67,7 @@ def _table_lines(table: HodgeTable) -> list[str]:
     return lines
 
 
-# the most numbers fermat (3d) or local-hodge (5d + (k-1)^2 (d-1)) builds and prints: ~23 MB of JSON
+# the most numbers fermat (3d), local-hodge (5d + (k-1)^2 (d-1)) or combinatorics (sum (4 + k) m_k) prints
 MAX_ENTRIES = 10**6
 
 
@@ -86,6 +86,7 @@ def _check_payload(checks) -> list[dict]:
 
 def _cmd_combinatorics(args, arr: Arrangement) -> tuple[dict, str, int]:
     w = weak_comb_data(arr)
+    _bound_entries(sum(n * (4 + k) for k, n in w.m))
     payload = {
         "points": [
             {

@@ -47,11 +47,11 @@ cache: one histogram of the rotations and an O(d^2) circular convolution in
 Python add them up, O(q + d^2) work.  Only the brute-force oracle
 multiplies values modulo q.
 
-Counts are taken only at primes of good reduction, where the lines stay
-distinct and nonzero and the intersection data are those over Z.  That is
-decided once per arrangement: q is good exactly when it does not divide the
-arrangement's cached ``bad_modulus``, so the prime search and each reduction
-test one remainder instead of recomputing the incidences modulo q.
+Counts are taken only at primes of good reduction, where the reduced lines
+(``forms_mod(q)``) stay distinct and meet in as many points as over Z.  Each
+point over Z goes to where its lines meet modulo q: points can merge but never
+split, so equal counts mean equal incidences.  That one rule for every
+arrangement is O(d^2) work per prime, decided once per (arrangement, q).
 
 Counts fitted across several primes by exact Lagrange interpolation (one
 integer numerator over a common denominator) give, per twist, a candidate
@@ -72,7 +72,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, intersection_data
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, _prime_factors, decode_characters
@@ -132,12 +132,6 @@ class PrimeField:
 
     p: int
 
-    @classmethod
-    def make(cls, p: int) -> "PrimeField":
-        if not _is_prime(p):
-            raise BadPrime(f"{p} is not prime")
-        return cls(p)
-
 
 def _primitive_root(q: int) -> int:
     """The smallest primitive root of the prime q: 1 for q = 2, where q - 1 has no prime factor."""
@@ -187,6 +181,27 @@ def _class_table(q: int, d: int) -> tuple[int, np.ndarray, list[int]]:
 # reduction of the arrangement modulo q
 
 
+def _good_reduction(arr: Arrangement, q: int) -> bool:
+    """Whether no two lines coincide modulo q and they meet in as many points as over Z.
+
+    One dict on the arrangement keeps the point count over Z under 0 and a bool under each q;
+    threads that race on it store the same values."""
+    if (decided := vars(arr).get("_good_reduction")) is None:
+        decided = vars(arr)["_good_reduction"] = {0: len(intersection_data(arr))}
+    if q not in decided:
+        forms = arr.forms_mod(q)
+        meets = [
+            ((b1 * c2 - c1 * b2) % q, (c1 * a2 - a1 * c2) % q, (a1 * b2 - b1 * a2) % q)
+            for i, (a1, b1, c1) in enumerate(forms)
+            for a2, b2, c2 in forms[i + 1 :]
+        ]
+        # a zero cross product is a pair of lines that coincide; the rest scale to a first 1
+        decided[q] = (0, 0, 0) not in meets and decided[0] == len(
+            {(x * (s := pow(x or y or z, -1, q)) % q, y * s % q, z * s % q) for x, y, z in meets}
+        )
+    return decided[q]
+
+
 def _check_prime(arr: Arrangement, q: int) -> None:
     """BadPrime unless q is a prime = 1 (mod d), at most MAX_PRIME, at which the reduction is good."""
     if q > MAX_PRIME:
@@ -195,15 +210,14 @@ def _check_prime(arr: Arrangement, q: int) -> None:
         raise BadPrime(f"{q} is not 1 modulo {arr.d}")
     if not _is_prime(q):
         raise BadPrime(f"{q} is not prime")
-    if arr.bad_modulus % q == 0:
+    if not _good_reduction(arr, q):
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
 
 
 def _lines_mod_q(arr: Arrangement, q: int) -> tuple[tuple, list[tuple[int, int, int]]]:
     """``_class_table(q, d)`` and the forms of ``arr`` reduced modulo q, once ``_check_prime`` passes."""
     _check_prime(arr, q)
-    classes = _class_table(q, arr.d)
-    return classes, arr.forms_mod(q, classes[0])
+    return _class_table(q, arr.d), arr.forms_mod(q)
 
 
 def good_primes(
@@ -220,11 +234,11 @@ def good_primes(
         raise ValueError(f"cannot find {count} primes")
     if count == 0:
         return []
-    d, bad, limit = arr.d, arr.bad_modulus, min(bound, MAX_PRIME)
+    d, limit = arr.d, min(bound, MAX_PRIME)
     start = max(min_q, 2)
     found: list[PrimeField] = []
     for q in range(start + (1 - start) % d, limit + 1, d):
-        if _is_prime(q) and bad % q:
+        if _is_prime(q) and _good_reduction(arr, q):
             found.append(PrimeField(q))
             if len(found) == count:
                 return found

@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -82,7 +84,10 @@ def test_parse_splits_forms_at_any_unicode_whitespace(space):
 def test_parse_ceva_builtin():
     arr = parse_arrangement("builtin: ceva\n")
     assert arr == ceva_arrangement() == CevaArrangement()
-    assert arr.d == 9 and arr.bad_modulus == 3
+    assert arr.d == 9
+    for kind in (arr, boolean_arrangement()):  # one interface: d, forms_mod(q), describe()
+        assert list(inspect.signature(kind.forms_mod).parameters) == ["q"]
+        assert not hasattr(kind, "bad_modulus")
     assert arr.describe() == {"kind": "builtin", "builtin": "ceva", "d": 9}
     with pytest.raises(ParseError, match="unknown builtin arrangement 'nosuch'"):
         parse_arrangement("builtin: nosuch\n")
@@ -309,6 +314,17 @@ def test_group_census_holds_one_line_of_keys_at_a_time():
         tracemalloc.stop()
     assert peak < 2**20
     assert w == _point_census(arr)
+
+
+def test_random_arrangement_refuses_more_lines_than_its_bound_allows():
+    # 289 primitive triples up to sign have coefficients in [-4, 4]: a 290th line would never be drawn
+    arr = random_rational_arrangement(random.Random(0), 289)
+    assert len(set(arr.lines)) == 289 and max(abs(v) for line in arr.lines for v in line) == 4
+    with pytest.raises(ValueError, match=re.escape("only 289 lines have coefficients in [-4, 4], not 290")):
+        random_rational_arrangement(random.Random(0), 290)
+    for bound, lines in ((2, 49), (9, 2881)):
+        with pytest.raises(ValueError, match=f"only {lines} lines"):
+            random_rational_arrangement(random.Random(0), lines + 1, bound)
 
 
 def test_weak_data_rejects_bad_census():

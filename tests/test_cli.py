@@ -230,6 +230,27 @@ def test_output_bound_counts_every_number(capsys, monkeypatch):
         assert json.loads(run_cli(capsys, *argv)[1])["error"] == "too_large"
 
 
+def test_combinatorics_bound_counts_the_printed_points_before_listing_them(capsys, monkeypatch):
+    # a point of multiplicity k prints three coordinates, k and k line indices: boolean has
+    # three double points (18 numbers), generic4 six (36)
+    from milnorhodge import cli
+
+    listed = []
+    real = cli.intersection_data
+    monkeypatch.setattr(cli, "intersection_data", lambda arr: listed.append(arr) or real(arr))
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 18)
+    assert run_cli(capsys, "combinatorics", "--arrangement", str(DATA / "boolean.txt"))[0] == 0
+    code, out = run_cli(capsys, "combinatorics", "--arrangement", str(DATA / "generic4.txt"))
+    assert code == 1
+    assert json.loads(out) == {"error": "too_large", "message": "the output would list more than 18 numbers"}
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 17)
+    assert json.loads(run_cli(capsys, "combinatorics", "--arrangement", str(DATA / "boolean.txt"))[1]) == {
+        "error": "too_large",
+        "message": "the output would list more than 17 numbers",
+    }
+    assert listed == [boolean_arrangement()]
+
+
 def test_duplicate_line_error_code(capsys):
     code, out = run_cli(capsys, "spectrum", "--arrangement", str(DATA / "duplicate.txt"))
     assert code == 1

@@ -7,10 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from milnorhodge.arrangement import (
+    CevaArrangement,
     LineArrangement,
     _canonical_triple,
     boolean_arrangement,
     ceva_arrangement,
+    intersection_data,
     parse_arrangement,
     random_rational_arrangement,
     weak_comb_data,
@@ -20,7 +22,7 @@ from milnorhodge.pointcount import (
     MAX_PRIME,
     CountTable,
     FittedPoly,
-    PrimeField,
+    _good_reduction,
     _primitive_root,
     brute_force_count,
     complement_count,
@@ -67,9 +69,10 @@ def test_lines_off_canonical_form_reduce_by_their_content():
     assert [f.p for f in good_primes(arr, 4)] == [2, 3, 5, 7]
 
 
-# The reference for the bad modulus: the census of the reduced lines over F_q,
-# from normalizing every reduced line and every pairwise cross product in
-# P^2(F_q) and tallying the lines through each meeting point.
+# Two references for the good-reduction rule.  The census of the reduced lines
+# over F_q normalizes every reduced line and every pairwise cross product in
+# P^2(F_q) and tallies the lines through each meeting point.  The bad modulus is
+# an integer that a prime divides exactly when it reduces badly.
 
 
 def _normalize_mod(triple, q):
@@ -98,11 +101,27 @@ def _census_mod_q(lines, q):
     return census
 
 
+def _bad_modulus(arr):
+    """3 for Ceva, whose forms over Z[w] fail only modulo 3: each nonzero value of a
+    line at one of its points is a unit or has norm 3.  For rational lines, the lcm of
+    the content of every pairwise cross product (q divides it when two lines coincide)
+    and of every nonzero value of a line at an intersection point (when the line passes
+    through the point modulo q, which merges it with another point)."""
+    if isinstance(arr, CevaArrangement):
+        return 3
+    forms, points = arr.lines, intersection_data(arr)
+    values = {a * x + b * y + c * z for a, b, c in forms for x, y, z in points} - {0}
+    for i, (a1, b1, c1) in enumerate(forms):
+        for a2, b2, c2 in forms[i + 1 :]:
+            values.add(math.gcd(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2))
+    return math.lcm(*values)
+
+
 def _assert_bad_modulus_matches_census(arr, lines_mod, primes):
-    counts = weak_comb_data(arr).counts
+    counts, bad = weak_comb_data(arr).counts, _bad_modulus(arr)
     for q in primes:
         good = _census_mod_q(lines_mod(q), q) == counts
-        assert (arr.bad_modulus % q != 0) == good, (arr, q)
+        assert _good_reduction(arr, q) == good == (bad % q != 0), (arr, q)
 
 
 _PRIMES_BELOW_400 = [q for q in range(2, 400) if all(q % f for f in range(2, q))]
@@ -158,7 +177,16 @@ def test_bad_modulus_and_forms_mod_match_census_mod_q(arr, lines_mod):
     assert len(primes) > 60
     _assert_bad_modulus_matches_census(arr, lines_mod, primes)
     for q in primes:
-        assert sorted(arr.forms_mod(q, _primitive_root(q))) == sorted(lines_mod(q))
+        assert sorted(arr.forms_mod(q)) == sorted(lines_mod(q))
+
+
+def test_a_line_that_coincides_with_another_modulo_q_is_bad_reduction():
+    # a pencil keeps its one point modulo 19, but there x + 19y = 0 is the line x = 0:
+    # a rule that compared point counts alone would call 19 good
+    arr = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 19, 0)))
+    assert len(intersection_data(arr)) == 1 and _bad_modulus(arr) % 19 == 0
+    assert not _good_reduction(arr, 19)
+    assert [f.p for f in good_primes(arr, 2, min_q=19)] == [31, 37]
 
 
 def test_bad_prime_wrong_residue():
@@ -187,14 +215,15 @@ def test_good_primes_negative_count_rejected():
         good_primes(ceva_arrangement(), -1)
 
 
-def _good_primes_by_scan(arr, min_q: int, bound: int) -> list[int]:
+def _good_primes_by_scan(d: int, bad: int, min_q: int, bound: int) -> list[int]:
+    """The primes q = 1 (mod d) in [min_q, bound] that do not divide the bad modulus."""
     return [
         q
         for q in range(min_q, bound + 1)
         if q > 1
         and all(q % f for f in range(2, math.isqrt(q) + 1))
-        and (q - 1) % arr.d == 0
-        and arr.bad_modulus % q
+        and (q - 1) % d == 0
+        and bad % q
     ]
 
 
@@ -205,9 +234,10 @@ def _good_primes_by_scan(arr, min_q: int, bound: int) -> list[int]:
     ids=["boolean", "ceva"] + [f"random{d}" for d in range(1, 13)],
 )
 def test_good_primes_equal_a_plain_scan(arr):
+    bad = _bad_modulus(arr)
     for min_q in (-4, 0, 1, 2, 3, 20, 50, 102, 311):
         for bound in (10, 97, 400, 1200):
-            expected = _good_primes_by_scan(arr, min_q, bound)
+            expected = _good_primes_by_scan(arr.d, bad, min_q, bound)
             for count in (1, 4, 9):
                 if len(expected) >= count:
                     found = good_primes(arr, count, min_q=min_q, bound=bound)
@@ -220,8 +250,6 @@ def test_good_primes_equal_a_plain_scan(arr):
 def test_prime_field_generators():
     assert _primitive_root(7) == 3
     assert _primitive_root(13) == 2
-    with pytest.raises(BadPrime):
-        PrimeField.make(9)
 
 
 def test_is_prime_equals_trial_division_and_rejects_strong_pseudoprimes():
@@ -542,16 +570,20 @@ def test_fit_polynomials_fits_each_distinct_sequence_once(monkeypatch):
     assert fit.per_twist == (fit.per_twist[0],) * 3 and fit.is_polynomial()
 
 
-def test_bad_modulus_is_computed_once_per_arrangement(monkeypatch):
-    import milnorhodge.arrangement as arrangement
+def test_good_reduction_counts_the_points_over_z_once_per_arrangement(monkeypatch):
+    # the prime search and the checks of count_tables share the point count over Z and
+    # each decision, which live on the arrangement
+    import milnorhodge.pointcount as pointcount
 
     calls = []
-    real = arrangement.intersection_data
-    monkeypatch.setattr(arrangement, "intersection_data", lambda arr: calls.append(arr) or real(arr))
+    real = pointcount.intersection_data
+    monkeypatch.setattr(pointcount, "intersection_data", lambda arr: calls.append(arr) or real(arr))
     arr = random_rational_arrangement(random.Random(5), 6)
     primes = [f.p for f in good_primes(arr, 5, min_q=100)]
+    decided = dict(vars(arr)["_good_reduction"])
     tables = count_tables(arr, primes)
     assert len(calls) == 1
+    assert vars(arr)["_good_reduction"] == decided and all(decided[q] for q in primes)
     assert tables == [count_classes(arr, q) for q in primes]
 
 
@@ -648,7 +680,7 @@ def test_rotated_rows_equal_the_window_kernel_and_brute_force(flat, varying):
     arr = LineArrangement(tuple(flat + varying))
     checked = 0
     for q in _PRIMES_BELOW_200:
-        if (q - 1) % arr.d or arr.bad_modulus % q == 0:
+        if (q - 1) % arr.d or not _good_reduction(arr, q):
             continue
         table = count_classes(arr, q)
         window = pointcount._window_rows
@@ -689,7 +721,7 @@ def test_slope_classes_count_as_the_product_route_and_brute_force(classes, flat)
     varying = [line for cls in classes for line in cls]
     assume(len(varying) >= 3)
     arr = LineArrangement(tuple(varying + flat))
-    small = [q for q in _PRIMES_BELOW_200 if q < 60 and (q - 1) % arr.d == 0 and arr.bad_modulus % q]
+    small = [q for q in _PRIMES_BELOW_200 if q < 60 and (q - 1) % arr.d == 0 and _good_reduction(arr, q)]
     for q in small[:2]:
         assert count_classes(arr, q) == brute_force_count(arr, q), q
     q = good_primes(arr, 1, min_q=200)[0].p
