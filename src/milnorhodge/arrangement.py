@@ -5,19 +5,20 @@ one, first nonzero coefficient positive), enforced in one place: the
 ``LineArrangement`` constructor, which also rejects zero, repeated and missing
 forms.  Pairwise cross products over Z give ``intersection_data``, the exact
 rank-2 incidence map (point -> indices of its lines), which serves the
-``combinatorics`` command, the point count of the good-reduction rule and the
+``combinatorics`` command, the per-line counts of the good-reduction rule and the
 ``weak_data_pair_count`` check.  Every downstream Hodge quantity consumes only
 the weak combinatorial data (the line count d and the census m_k of points of
 multiplicity k), and these are counted without points: on each line the later
 lines fall into groups by where they meet it, a point of multiplicity k gives
 one group of each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the
-number of groups of size s.
+number of groups of size s.  ``_meeting_pairs`` yields those meetings line by
+line, over Z for the weak data and modulo q for the rule in ``pointcount``.
 
 Two types share one interface (``d``, ``forms_mod(q)`` and ``describe``):
 ``LineArrangement`` holds rational lines, and ``CevaArrangement``, whose lines need cube
 roots of unity, lists its twelve points itself.  Only ``intersection_data`` and
 ``weak_comb_data`` tell them apart.  Which primes reduce well is decided in
-``pointcount`` from ``forms_mod`` and the point count alone.
+``pointcount`` from ``forms_mod`` and the points alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DuplicateLine, ParseError, ZeroForm
 from .repring import HodgeTable, ReprClass
@@ -300,19 +301,23 @@ def intersection_data(arr: Arrangement) -> dict[Triple | str, frozenset[int]]:
     return {pt: frozenset(incident[pt]) for pt in sorted(incident)}
 
 
+def _meeting_pairs(forms: Sequence[Triple]) -> Iterator[list[tuple[int, int]]]:
+    """Per line i, two coordinates (i fixes the third) where each later line meets it; (0, 0) if equal."""
+    for i, (a1, b1, c1) in enumerate(forms):
+        if c1:  # (x, y)
+            yield [(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2) for a2, b2, c2 in forms[i + 1 :]]
+        elif b1:  # (x, z)
+            yield [(b1 * c2, a1 * b2 - b1 * a2) for a2, b2, c2 in forms[i + 1 :]]
+        else:  # on the line x = 0 the point is (0 : -c2 : b2)
+            yield [(b2, c2) for _, b2, c2 in forms[i + 1 :]]
+
+
 def weak_comb_data(arr: Arrangement) -> WeakCombData:
     """The census from groups: on each line i, the later lines grouped by where they meet i."""
     if isinstance(arr, CevaArrangement):
         return WeakCombData.make(arr.d, Counter(map(len, arr.points().values())))
-    forms, gcd, groups, keys = arr.lines, math.gcd, Counter(), Counter()
-    for i, (a1, b1, c1) in enumerate(forms):
-        # key the meeting point by two coordinates; line i fixes the third
-        if c1:  # (x, y)
-            pairs = [(b1 * c2 - c1 * b2, c1 * a2 - a1 * c2) for a2, b2, c2 in forms[i + 1 :]]
-        elif b1:  # (x, z)
-            pairs = [(b1 * c2, a1 * b2 - b1 * a2) for a2, b2, c2 in forms[i + 1 :]]
-        else:  # on the line x = 0 the point is (0 : -c2 : b2)
-            pairs = [(b2, c2) for _, b2, c2 in forms[i + 1 :]]
+    gcd, groups, keys = math.gcd, Counter(), Counter()
+    for pairs in _meeting_pairs(arr.lines):
         keys.clear()  # one line's keys at a time: memory O(d), not O(d^2)
         keys.update([(u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs])
         groups.update(keys.values())

@@ -238,8 +238,9 @@ def _cmd_count(args, arr: Arrangement) -> tuple[dict, str, int]:
 
 
 def _cmd_check(args, arr: Arrangement) -> tuple[dict, str, int]:
-    primes = _parse_primes(args.primes) if args.primes else [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
-    h3 = _load_h3(args.h3x) if args.h3x else None
+    given = args.primes is not None  # an empty --primes is no prime; only a missing one means the default
+    primes = _parse_primes(args.primes) if given else [f.p for f in pointcount.good_primes(arr, 2, min_q=3)]
+    h3 = None if args.h3x is None else _load_h3(args.h3x)
     checks = assembly.consistency_checks(arr, h3, primes, args.seed)
     all_pass = all(c.passed for c in checks)
     payload = {"checks": _check_payload(checks), "all_pass": all_pass}

@@ -50,8 +50,9 @@ multiplies values modulo q.
 Counts are taken only at primes of good reduction, where the reduced lines
 (``forms_mod(q)``) stay distinct and meet in as many points as over Z.  Each
 point over Z goes to where its lines meet modulo q: points can merge but never
-split, so equal counts mean equal incidences.  That one rule for every
-arrangement is O(d^2) work per prime, decided once per (arrangement, q).
+split, and two that merge make the first of three lines lose a point.  One rule
+for every arrangement reads the meetings of the weak data modulo q line by line
+and stops at the first line that loses one, once per (arrangement, q).
 
 Counts fitted across several primes by exact Lagrange interpolation (one
 integer numerator over a common denominator) give, per twist, a candidate
@@ -66,13 +67,14 @@ genuinely destroys polynomial counting.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import Arrangement, intersection_data
+from .arrangement import Arrangement, _meeting_pairs, intersection_data
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, _prime_factors, decode_characters
@@ -102,6 +104,7 @@ __all__ = [
 DEFAULT_PRIME_BOUND = 100_000
 # the largest prime counted at: its class table multiplies residues in int64 and peaks near 24 B/element
 MAX_PRIME = 2**21
+assert MAX_PRIME < 25_326_001  # where the bases of _is_prime stop being exact
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +112,16 @@ MAX_PRIME = 2**21
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin: the first twelve primes as bases decide every n < 3.18 * 10^23."""
+    """Miller-Rabin for n <= MAX_PRIME: the bases 2, 3 and 5 decide every n < 25,326,001."""
     if n < 2:
         return False
-    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in witnesses:
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
     if n < 41 * 41:  # no prime factor up to 37 and below 41^2: prime
         return True
     twos = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^twos
-    for a in witnesses[: 3 if n < 25_326_001 else None]:  # three decide every n < 25,326,001
+    for a in (2, 3, 5):
         x = pow(a, (n - 1) >> twos, n)
         if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(twos)):
             return False
@@ -182,24 +184,20 @@ def _class_table(q: int, d: int) -> tuple[int, np.ndarray, list[int]]:
 
 
 def _good_reduction(arr: Arrangement, q: int) -> bool:
-    """Whether no two lines coincide modulo q and they meet in as many points as over Z.
-
-    One dict on the arrangement keeps the point count over Z under 0 and a bool under each q;
+    """Whether no two lines coincide modulo q and each meets the later ones in as many points as
+    over Z: of three lines that became concurrent, the first would lose a point; none is gained.
+    A dict on the arrangement keeps those counts under 0 and each decision, once made, under q:
     threads that race on it store the same values."""
     if (decided := vars(arr).get("_good_reduction")) is None:
-        decided = vars(arr)["_good_reduction"] = {0: len(intersection_data(arr))}
-    if q not in decided:
-        forms = arr.forms_mod(q)
-        meets = [
-            ((b1 * c2 - c1 * b2) % q, (c1 * a2 - a1 * c2) % q, (a1 * b2 - b1 * a2) % q)
-            for i, (a1, b1, c1) in enumerate(forms)
-            for a2, b2, c2 in forms[i + 1 :]
-        ]
-        # a zero cross product is a pair of lines that coincide; the rest scale to a first 1
-        decided[q] = (0, 0, 0) not in meets and decided[0] == len(
-            {(x * (s := pow(x or y or z, -1, q)) % q, y * s % q, z * s % q) for x, y, z in meets}
+        later = Counter(i for lines in intersection_data(arr).values() for i in sorted(lines)[:-1])
+        decided = vars(arr)["_good_reduction"] = {0: [later[i] for i in range(arr.d)]}
+    if (good := decided.get(q)) is None:  # (u : v) modulo q is v/u, q if u = 0, None if u = v = 0
+        good = decided[q] = all(  # decided by the first line that comes up short
+            None not in (slopes := {v * pow(u, -1, q) % q if u % q else q if v % q else None for u, v in pairs})
+            and len(slopes) == n
+            for pairs, n in zip(_meeting_pairs(arr.forms_mod(q)), decided[0])
         )
-    return decided[q]
+    return good
 
 
 def _check_prime(arr: Arrangement, q: int) -> None:

@@ -635,6 +635,24 @@ def test_check_boolean_passes(capsys):
     assert {"count_oracle_q7", "count_oracle_q13", "complement_charpoly_q7"} <= names
 
 
+@pytest.mark.parametrize("primes", ["", " "])
+def test_check_with_an_empty_prime_list_counts_at_no_prime(capsys, primes):
+    # only a missing --primes means the first two good primes
+    code, out = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--primes", primes)
+    payload = json.loads(out)
+    assert code == 0 and payload["all_pass"]
+    assert [c["name"] for c in payload["checks"]] == [
+        "weak_data_pair_count", "chiF_multiplicativity", "local_dimension_law_k2",
+        "spectrum_sum_rule", "random_weak_data_sum_rule",
+    ]
+
+
+def test_check_refuses_an_empty_h3_path_as_h2f_does(capsys):
+    argv = ["--arrangement", str(DATA / "ceva.txt"), "--h3x", ""]
+    check, h2f = run_cli(capsys, "check", *argv), run_cli(capsys, "h2f", *argv)
+    assert check == h2f and check[0] == 1 and json.loads(check[1])["error"] == "unreadable_file"
+
+
 def test_check_ceva_with_h3_passes(capsys):
     code, out = run_cli(
         capsys,

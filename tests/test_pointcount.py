@@ -118,10 +118,12 @@ def _bad_modulus(arr):
 
 
 def _assert_bad_modulus_matches_census(arr, lines_mod, primes):
-    counts, bad = weak_comb_data(arr).counts, _bad_modulus(arr)
+    w, bad = weak_comb_data(arr), _bad_modulus(arr)
     for q in primes:
-        good = _census_mod_q(lines_mod(q), q) == counts
+        good = _census_mod_q(lines_mod(q), q) == w.counts
         assert _good_reduction(arr, q) == good == (bad % q != 0), (arr, q)
+    # each point is counted on every line but its last
+    assert sum(vars(arr)["_good_reduction"][0]) == w.sum_mult_minus_one()
 
 
 _PRIMES_BELOW_400 = [q for q in range(2, 400) if all(q % f for f in range(2, q))]
@@ -187,6 +189,31 @@ def test_a_line_that_coincides_with_another_modulo_q_is_bad_reduction():
     assert len(intersection_data(arr)) == 1 and _bad_modulus(arr) % 19 == 0
     assert not _good_reduction(arr, 19)
     assert [f.p for f in good_primes(arr, 2, min_q=19)] == [31, 37]
+    # modulo 19, x + 19z = 0 is the first line, yet every line keeps its count of later
+    # meeting points: only the coinciding pair (0, 0) tells
+    arr = LineArrangement(((1, 0, 0), (0, 1, 0), (1, 0, 19)))
+    assert len(intersection_data(arr)) == 3 and _bad_modulus(arr) % 19 == 0
+    assert not _good_reduction(arr, 19)
+    assert [f.p for f in good_primes(arr, 3, min_q=19)] == [31, 37, 43]
+
+
+def test_good_reduction_is_decided_at_the_first_line_that_loses_a_point(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    rows = []
+    real = pointcount._meeting_pairs
+
+    def spy(forms):
+        for pairs in real(forms):
+            rows.append(pairs)
+            yield pairs
+
+    monkeypatch.setattr(pointcount, "_meeting_pairs", spy)
+    arr = LineArrangement(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)))
+    # modulo 3, x + 2y = 0 meets x = 0 where y = 0 does: the first line decides
+    assert not _good_reduction(arr, 3) and len(rows) == 1
+    rows.clear()
+    assert _good_reduction(arr, 5) and len(rows) == 5
 
 
 def test_bad_prime_wrong_residue():
@@ -258,11 +285,11 @@ def test_is_prime_equals_trial_division_and_rejects_strong_pseudoprimes():
     assert [_is_prime(n) for n in range(20_000)] == [
         n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1)) for n in range(20_000)
     ]
-    # the least strong pseudoprimes to the first 1, 2, ..., 11 prime bases, and two Carmichael numbers
-    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-              341550071728321, 3825123056546413051, 561, 1729):
-        assert not _is_prime(n), n
-    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1) and _is_prime(2**127 - 1)
+    # the strong pseudoprimes to bases 2 and 3 up to the counting bound, the least one to base 2,
+    # and two Carmichael numbers; and the largest prime below the bound
+    for n in (2047, 1373653, 1530787, 1987021, 561, 1729):
+        assert n <= MAX_PRIME and not _is_prime(n), n
+    assert _is_prime(2097143) and not any(map(_is_prime, range(2097144, MAX_PRIME + 1)))
 
 
 def test_primes_above_the_counting_bound_are_bad_before_any_primality_test(monkeypatch):
