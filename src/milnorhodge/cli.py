@@ -191,8 +191,7 @@ def _parse_primes(text: str) -> list[int]:
 def _cmd_count(args, arr: Arrangement) -> tuple[dict, str, int]:
     """``count``, and ``hodge-from-counts``, which adds the extracted polynomial or a witness."""
     primes = _parse_primes(args.primes)
-    pointcount.check_request(arr, primes, args.target)
-    tables = pointcount.count_tables(arr, primes, args.threads)
+    tables = pointcount.count_tables(arr, primes, args.threads, args.target)
     d = arr.d
     fiber = args.target == "fiber"
     table_rows = []

@@ -95,7 +95,6 @@ __all__ = [
     "fit_polynomials",
     "fiber_fit",
     "complement_fit",
-    "check_request",
     "hodge_from_counts",
     "DEFAULT_PRIME_BOUND",
     "MAX_PRIME",
@@ -212,12 +211,6 @@ def _check_prime(arr: Arrangement, q: int) -> None:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
 
 
-def _lines_mod_q(arr: Arrangement, q: int) -> tuple[tuple, list[tuple[int, int, int]]]:
-    """``_class_table(q, d)`` and the forms of ``arr`` reduced modulo q, once ``_check_prime`` passes."""
-    _check_prime(arr, q)
-    return _class_table(q, arr.d), arr.forms_mod(q)
-
-
 def good_primes(
     arr: Arrangement,
     count: int,
@@ -268,7 +261,7 @@ class CountTable:
 def _q_values(lines: list[tuple[int, int, int]], q: int, x, y, z) -> np.ndarray:
     """Q(x, y, z) mod q on numpy arrays (broadcasting allowed): the oracle's arithmetic.
 
-    ``lines`` are the forms reduced modulo q (``_lines_mod_q``).
+    ``lines`` are the forms reduced modulo q (``forms_mod(q)``).
     """
     import numpy as np
 
@@ -304,7 +297,8 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
     import numpy as np
 
     d = arr.d
-    (g, table, h2), lines = _lines_mod_q(arr, q)
+    _check_prime(arr, q)
+    (g, table, h2), lines = _class_table(q, d), arr.forms_mod(q)
     # row r is (1, r, z) for r < q and (0, 1, z) for r = q.  A line with c != 0 takes class(c)
     # plus T2[u : u + q] there, u = a/c + r b/c (b/c on the row q), kept as its offset a/c under
     # its slope b/c.  One with c = 0 is b (r + a/b) on the row r < q and b on the row q: class(b)
@@ -314,11 +308,11 @@ def count_classes(arr: Arrangement, q: int) -> CountTable:
     shift = varying = 0
     for a, b, c in lines:
         if c:
-            inv = pow(c, q - 2, q)
+            inv = pow(c, -1, q)
             slopes.setdefault(b * inv % q, []).append(a * inv % q)
             varying += 1
         elif b:
-            flat[:q] += table[a * pow(b, q - 2, q) % q :][:q]
+            flat[:q] += table[a * pow(b, -1, q) % q :][:q]
         else:
             flat[q] += table[0]
         shift += table.item(c or b or a)
@@ -404,7 +398,7 @@ def _rotated_rows(table: np.ndarray, flat: np.ndarray, slopes: dict[int, list[in
     # they give n points in each class 2 class(w) + flat, and one zero
     (m0, a0), (m1, a1) = lines
     dm, da = (m1 - m0) % q, (a1 - a0) % q
-    meet = -da * pow(dm, q - 2, q) % q if dm else q
+    meet = -da * pow(dm, -1, q) % q if dm else q
     classes, level = [0] * d, flat.item(meet)
     met = level < zero
     for k in range(d * met):
@@ -432,7 +426,8 @@ def brute_force_count(arr: Arrangement, q: int) -> CountTable:
     """
     import numpy as np
 
-    (g, table, _), lines = _lines_mod_q(arr, q)
+    _check_prime(arr, q)
+    (g, table, _), lines = _class_table(q, arr.d), arr.forms_mod(q)
     rng = np.arange(q, dtype=np.int64)
     xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
     vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
@@ -457,13 +452,16 @@ def complement_count(table: CountTable) -> int:
     return table.q**3 - table.zero_count
 
 
-def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1) -> list[CountTable]:
+def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1, target: str | None = None) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order.
 
-    BadPrime, before any count, unless every prime in turn passes ``check_request``'s rule and none repeats.
+    The one gate of a count request, before any count: ``_check_prime`` on each prime in turn,
+    then for a fit ``target`` that fit's rule on the primes, then BadPrime if a prime repeats.
     """
     for q in primes:
         _check_prime(arr, q)
+    if target is not None:
+        _check_fit_primes(primes, _FIT_DEGREE[target], 0)
     if len(set(primes)) != len(primes):
         raise BadPrime(f"a prime is repeated in {list(primes)}")
     count = partial(count_classes, arr)
@@ -577,13 +575,6 @@ def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
     seqs = {j: [(t.q, complement_count(t)) for t in tables] for j in range(d)}
     return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
-
-
-def check_request(arr: Arrangement, primes: Sequence[int], target: str) -> None:
-    """Raise, before any count, what counting at ``primes`` and fitting ``target`` would."""
-    for q in primes:
-        _check_prime(arr, q)
-    _check_fit_primes(primes, _FIT_DEGREE[target], 0)
 
 
 def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:

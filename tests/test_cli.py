@@ -407,8 +407,29 @@ def test_repeated_prime_is_bad_prime(capsys):
     assert json.loads(out)["error"] == "bad_prime"
 
 
+def test_each_prime_is_checked_at_the_gate_and_at_its_counts(capsys, monkeypatch):
+    # count_tables checks a whole request once before any count; then each count checks its
+    # prime, and check adds the brute-force oracle at q <= 50
+    from collections import Counter
+
+    from milnorhodge import pointcount
+
+    checked = Counter()
+    check_prime = pointcount._check_prime
+    monkeypatch.setattr(pointcount, "_check_prime", lambda arr, q: checked.update([q]) or check_prime(arr, q))
+    code, _ = run_cli(capsys, "count", "--arrangement", str(DATA / "boolean.txt"), "--target", "fiber",
+                      "--primes", "7,13,19,31")
+    assert code == 0
+    assert checked == {7: 2, 13: 2, 19: 2, 31: 2}
+
+    checked.clear()
+    code, _ = run_cli(capsys, "check", "--arrangement", str(DATA / "boolean.txt"), "--primes", "7,13")
+    assert code == 0
+    assert checked == {7: 3, 13: 3}
+
+
 def test_count_finds_one_primitive_root_per_prime(capsys, monkeypatch):
-    # the prime checks of check_request and count_tables and the search of good_primes look
+    # the prime checks of the count_tables gate and of each count and the search of good_primes look
     # for no root: only the class table does, once per (q, d), and every later count at q
     # reads its root from the cache
     from milnorhodge import pointcount

@@ -306,21 +306,31 @@ def test_primes_above_the_counting_bound_are_bad_before_any_primality_test(monke
 
 
 @pytest.mark.parametrize(
-    "primes, message",
-    [([7, 13, 8], "8 is not 1 modulo 3"), ([7, 13, 7], r"a prime is repeated in \[7, 13, 7\]")],
-    ids=["residue", "repeated"],
+    "primes, target, error, message",
+    [
+        ([7, 13, 8], None, BadPrime, "8 is not 1 modulo 3"),
+        ([7, 13, 7], None, BadPrime, "a prime is repeated in [7, 13, 7]"),
+        ([7, 13, 7, 19], None, BadPrime, "a prime is repeated in [7, 13, 7, 19]"),
+        ([7, 13, 19], "fiber", NotEnoughPrimes, "twist 0: need at least 4 primes, got 3"),
+        ([7, 13, 7, 19], "complement", BadPrime, "twist 0: a prime is repeated in [7, 13, 7, 19]"),
+        ([4, 7, 7], "fiber", BadPrime, "4 is not prime"),  # each prime is checked before the fit's rule
+    ],
+    ids=["residue", "repeated", "repeated-of-four", "fit-too-few", "fit-repeated", "fit-not-prime"],
 )
-def test_a_bad_prime_is_refused_before_any_count_or_check(monkeypatch, primes, message):
+def test_a_bad_prime_is_refused_before_any_count_or_check(monkeypatch, primes, target, error, message):
     import milnorhodge.assembly as assembly
     import milnorhodge.pointcount as pointcount
 
     calls = []
     monkeypatch.setattr(pointcount, "count_classes", lambda arr, q: calls.append(q))
     monkeypatch.setattr(assembly, "weak_comb_data", lambda arr: calls.append(arr))
-    with pytest.raises(BadPrime, match=message):
-        count_tables(boolean_arrangement(), primes)
-    with pytest.raises(BadPrime, match=message):
-        assembly.consistency_checks(boolean_arrangement(), None, primes, 0)
+    with pytest.raises(error) as refused:
+        count_tables(boolean_arrangement(), primes, target=target)
+    assert str(refused.value) == message
+    if target is None:  # the suite counts without a fit target
+        with pytest.raises(error) as refused:
+            assembly.consistency_checks(boolean_arrangement(), None, primes, 0)
+        assert str(refused.value) == message
     assert calls == []
 
 
@@ -363,9 +373,9 @@ def test_ceva_forms_multiply_to_the_binomial_product(q):
     # to (x^3 - y^3)(x^3 - z^3)(y^3 - z^3) at every point of F_q^3
     import numpy as np
 
-    from milnorhodge.pointcount import _lines_mod_q, _q_values
+    from milnorhodge.pointcount import _q_values
 
-    _, lines = _lines_mod_q(ceva_arrangement(), q)
+    lines = ceva_arrangement().forms_mod(q)
     rng = np.arange(q, dtype=np.int64)
     x, y, z = (a.ravel() for a in np.meshgrid(rng, rng, rng, indexing="ij"))
     x3, y3, z3 = (v * v % q * v % q for v in (x, y, z))
@@ -386,11 +396,11 @@ def test_twisted_counts_equal_explicit_fiber_counts():
     # equal the number of solutions of Q(y) = g^j by direct enumeration
     import numpy as np
 
-    from milnorhodge.pointcount import _lines_mod_q, _q_values
+    from milnorhodge.pointcount import _class_table, _q_values
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
         d = arr.d
-        (g, _, _), lines = _lines_mod_q(arr, q)
+        (g, _, _), lines = _class_table(q, d), arr.forms_mod(q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
         vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
@@ -404,10 +414,10 @@ def test_untwisted_count_is_fiber_cardinality():
     # independent oracle: count Q(x) = 1 by direct enumeration
     import numpy as np
 
-    from milnorhodge.pointcount import _lines_mod_q, _q_values
+    from milnorhodge.pointcount import _q_values
 
     for arr, q in ((boolean_arrangement(), 7), (ceva_arrangement(), 19)):
-        _, lines = _lines_mod_q(arr, q)
+        lines = arr.forms_mod(q)
         rng = np.arange(q, dtype=np.int64)
         xs, ys, zs = np.meshgrid(rng, rng, rng, indexing="ij")
         vals = _q_values(lines, q, xs.ravel(), ys.ravel(), zs.ravel())
@@ -420,9 +430,9 @@ def _product_route(arr, q: int) -> CountTable:
     # the census over P^2 by multiplying line values mod q (the oracle's arithmetic)
     import numpy as np
 
-    from milnorhodge.pointcount import _aggregate, _lines_mod_q, _q_values
+    from milnorhodge.pointcount import _aggregate, _class_table, _q_values
 
-    (g, table, _), lines = _lines_mod_q(arr, q)
+    (g, table, _), lines = _class_table(q, arr.d), arr.forms_mod(q)
     span = np.arange(q, dtype=np.int64)
     ys, zs = np.meshgrid(span, span, indexing="ij")
     one, zero = np.int64(1), np.int64(0)
