@@ -4,21 +4,19 @@ A line ax + by + cz = 0 is its integer triple (a, b, c) in canonical form (gcd
 one, first nonzero coefficient positive), enforced in one place: the
 ``LineArrangement`` constructor, which also rejects zero, repeated and missing
 forms.  Pairwise cross products over Z give ``intersection_data``, the exact
-rank-2 incidence map (point -> indices of its lines), which serves the
-``combinatorics`` command, the per-line counts of the good-reduction rule and the
-``weak_data_pair_count`` check.  Every downstream Hodge quantity consumes only
-the weak combinatorial data (the line count d and the census m_k of points of
-multiplicity k), and these are counted without points: on each line the later
-lines fall into groups by where they meet it, a point of multiplicity k gives
-one group of each size 1, ..., k - 1, and so m_k = g_{k-1} - g_k for g_s the
-number of groups of size s.  ``_meeting_pairs`` yields those meetings line by
-line, over Z for the weak data and modulo q for the rule in ``pointcount``.
+rank-2 incidence map (point -> indices of its lines), for the ``combinatorics``
+command and the ``weak_data_pair_count`` check only.  The rest builds no point:
+on each line the later lines fall into groups by where they meet it
+(``_line_groups``, over the meetings of ``_meeting_pairs``).  A point of
+multiplicity k gives one group of each size 1, ..., k - 1, so the weak data that
+every Hodge quantity consumes, the line count d and the census m_k of points of
+multiplicity k, have m_k = g_{k-1} - g_k for g_s the number of groups of size
+s, and the good-reduction rule in ``pointcount`` checks each line's groups.
 
 Two types share one interface (``d``, ``forms_mod(q)`` and ``describe``):
-``LineArrangement`` holds rational lines, and ``CevaArrangement``, whose lines need cube
-roots of unity, lists its twelve points itself.  Only ``intersection_data`` and
-``weak_comb_data`` tell them apart.  Which primes reduce well is decided in
-``pointcount`` from ``forms_mod`` and the points alone.
+``LineArrangement`` holds rational lines, and ``CevaArrangement``, whose lines
+need cube roots of unity, lists its twelve points itself.  Only
+``intersection_data`` and ``_line_groups`` tell them apart.
 """
 
 from __future__ import annotations
@@ -30,7 +28,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import DuplicateLine, ParseError, ZeroForm
 from .repring import HodgeTable, ReprClass
@@ -312,15 +311,23 @@ def _meeting_pairs(forms: Sequence[Triple]) -> Iterator[list[tuple[int, int]]]:
             yield [(b2, c2) for _, b2, c2 in forms[i + 1 :]]
 
 
+def _line_groups(arr: Arrangement) -> Iterator[Collection[int]]:
+    """Per line in order, the sizes of its groups: the later lines grouped by where they meet it."""
+    if isinstance(arr, CevaArrangement):  # a point's k lines, sorted, get groups of k - 1, ..., 1, none
+        sizes: list[list[int]] = [[] for _ in range(arr.d)]
+        for lines in arr.points().values():
+            for i, n in zip(sorted(lines), range(len(lines) - 1, 0, -1)):
+                sizes[i].append(n)
+        yield from sizes
+        return
+    gcd = math.gcd
+    for pairs in _meeting_pairs(arr.lines):  # one line's keys at a time: memory O(d), not O(d^2)
+        yield Counter([(u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs]).values()
+
+
 def weak_comb_data(arr: Arrangement) -> WeakCombData:
-    """The census from groups: on each line i, the later lines grouped by where they meet i."""
-    if isinstance(arr, CevaArrangement):
-        return WeakCombData.make(arr.d, Counter(map(len, arr.points().values())))
-    gcd, groups, keys = math.gcd, Counter(), Counter()
-    for pairs in _meeting_pairs(arr.lines):
-        keys.clear()  # one line's keys at a time: memory O(d), not O(d^2)
-        keys.update([(u // (g := gcd(u, v) if (u or v) > 0 else -gcd(u, v)), v // g) for u, v in pairs])
-        groups.update(keys.values())
+    """The census from groups: a point of multiplicity k gives one group of each size 1, ..., k - 1."""
+    groups = Counter(chain.from_iterable(_line_groups(arr)))
     return WeakCombData.make(arr.d, {s + 1: n - groups[s + 1] for s, n in groups.items()})
 
 

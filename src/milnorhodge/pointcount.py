@@ -48,11 +48,10 @@ Python add them up, O(q + d^2) work.  Only the brute-force oracle
 multiplies values modulo q.
 
 Counts are taken only at primes of good reduction, where the reduced lines
-(``forms_mod(q)``) stay distinct and meet in as many points as over Z.  Each
-point over Z goes to where its lines meet modulo q: points can merge but never
-split, and two that merge make the first of three lines lose a point.  One rule
-for every arrangement reads the meetings of the weak data modulo q line by line
-and stops at the first line that loses one, once per (arrangement, q).
+(``forms_mod(q)``) stay distinct and meet in as many points as over Z: points
+can merge but never split, and two that merge make the first of three lines
+lose a point.  One rule for every arrangement compares each line's meetings
+modulo q with its groups over Z (``_line_groups``) up to the first line short.
 
 Counts fitted across several primes by exact Lagrange interpolation (one
 integer numerator over a common denominator) give, per twist, a candidate
@@ -67,14 +66,13 @@ genuinely destroys polynomial counting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .arrangement import Arrangement, _meeting_pairs, intersection_data
+from .arrangement import Arrangement, _line_groups, _meeting_pairs
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
 from .errors import BadPrime, DecodeError, NotEnoughPrimes, NotPolynomialCount
 from .repring import HodgeTable, _prime_factors, decode_characters
@@ -183,13 +181,11 @@ def _class_table(q: int, d: int) -> tuple[int, np.ndarray, list[int]]:
 
 
 def _good_reduction(arr: Arrangement, q: int) -> bool:
-    """Whether no two lines coincide modulo q and each meets the later ones in as many points as
-    over Z: of three lines that became concurrent, the first would lose a point; none is gained.
-    A dict on the arrangement keeps those counts under 0 and each decision, once made, under q:
-    threads that race on it store the same values."""
+    """Whether no two lines coincide modulo q and each meets the later ones in as many points as over
+    Z, one per group: of three lines concurrent only modulo q, the first loses a point.  A dict on the
+    arrangement keeps the group counts under 0 and each decision under q; threads that race store the same."""
     if (decided := vars(arr).get("_good_reduction")) is None:
-        later = Counter(i for lines in intersection_data(arr).values() for i in sorted(lines)[:-1])
-        decided = vars(arr)["_good_reduction"] = {0: [later[i] for i in range(arr.d)]}
+        decided = vars(arr)["_good_reduction"] = {0: [len(sizes) for sizes in _line_groups(arr)]}
     if (good := decided.get(q)) is None:  # (u : v) modulo q is v/u, q if u = 0, None if u = v = 0
         good = decided[q] = all(  # decided by the first line that comes up short
             None not in (slopes := {v * pow(u, -1, q) % q if u % q else q if v % q else None for u, v in pairs})

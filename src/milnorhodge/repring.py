@@ -224,10 +224,12 @@ class HodgeTable:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "HodgeTable":
-        """Inverse of ``to_json_dict``; TypeError unless d, p, q and mult hold JSON integers."""
+        """Inverse of ``to_json_dict``; TypeError unless entries is a list and d, p, q, mult are JSON integers."""
         d = _json_int(data["d"])
         entries: dict[_Key, ReprClass] = {}
-        for item in data["entries"]:
+        if type(items := data["entries"]) is not list:  # an empty object or string would read as the zero table
+            raise TypeError(f"expected a list of entries, got {items!r}")
+        for item in items:
             key = (_json_int(item["p"]), _json_int(item["q"]))
             if key in entries:
                 raise ValueError("duplicate (p, q) entry in table JSON")

@@ -360,8 +360,10 @@ def test_h3_json_with_non_integer_values_is_parse_error(capsys, tmp_path, edit):
     [
         lambda data: data["entries"][0]["mult"].append(0),
         lambda data: data.update(d=0),
+        lambda data: data.update(entries={}),  # iterating an empty object or string reads no entry
+        lambda data: data.update(entries=""),
     ],
-    ids=["mult-length", "zero-d"],
+    ids=["mult-length", "zero-d", "entries-object", "entries-string"],
 )
 def test_h3_json_that_is_no_table_is_parse_error(capsys, tmp_path, edit):
     path = _ceva_h3_with(tmp_path, edit)

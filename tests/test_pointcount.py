@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,7 +123,11 @@ def _assert_bad_modulus_matches_census(arr, lines_mod, primes):
     for q in primes:
         good = _census_mod_q(lines_mod(q), q) == w.counts
         assert _good_reduction(arr, q) == good == (bad % q != 0), (arr, q)
-    # each point is counted on every line but its last
+    # each point is counted on every line but its last: a line's groups are its points
+    # shared with a later line, counted here from the point dict
+    points = intersection_data(arr).values()
+    later = [sum(i in lines and i != max(lines) for lines in points) for i in range(arr.d)]
+    assert vars(arr)["_good_reduction"][0] == later, arr
     assert sum(vars(arr)["_good_reduction"][0]) == w.sum_mult_minus_one()
 
 
@@ -608,20 +613,35 @@ def test_fit_polynomials_fits_each_distinct_sequence_once(monkeypatch):
 
 
 def test_good_reduction_counts_the_points_over_z_once_per_arrangement(monkeypatch):
-    # the prime search and the checks of count_tables share the point count over Z and
-    # each decision, which live on the arrangement
+    # the prime search and the checks of count_tables share one pass over the groups over Z
+    # and each decision, which live on the arrangement; neither builds the point dict
+    import milnorhodge.arrangement as arrangement
     import milnorhodge.pointcount as pointcount
 
     calls = []
-    real = pointcount.intersection_data
-    monkeypatch.setattr(pointcount, "intersection_data", lambda arr: calls.append(arr) or real(arr))
-    arr = random_rational_arrangement(random.Random(5), 6)
-    primes = [f.p for f in good_primes(arr, 5, min_q=100)]
-    decided = dict(vars(arr)["_good_reduction"])
-    tables = count_tables(arr, primes)
-    assert len(calls) == 1
-    assert vars(arr)["_good_reduction"] == decided and all(decided[q] for q in primes)
-    assert tables == [count_classes(arr, q) for q in primes]
+    real = pointcount._line_groups
+    monkeypatch.setattr(pointcount, "_line_groups", lambda arr: calls.append(arr) or real(arr))
+    monkeypatch.setattr(arrangement, "intersection_data", lambda arr: pytest.fail("built the point dict"))
+    for arr in (random_rational_arrangement(random.Random(5), 6), ceva_arrangement()):
+        calls.clear()
+        primes = [f.p for f in good_primes(arr, 5, min_q=100)]
+        decided = dict(vars(arr)["_good_reduction"])
+        tables = count_tables(arr, primes)
+        assert len(calls) == 1 and calls[0] is arr
+        assert vars(arr)["_good_reduction"] == decided and all(decided[q] for q in primes)
+        assert tables == [count_classes(arr, q) for q in primes]
+
+
+def test_the_first_good_reduction_decision_holds_one_line_of_groups_at_a_time():
+    # the point dict of C(200, 2) line pairs, built to count each line's groups, peaks near 12 MiB
+    arr = random_rational_arrangement(random.Random(200), 200, 60)
+    tracemalloc.start()
+    try:
+        _good_reduction(arr, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_chiF_from_extracted_counts(generic3):
