@@ -40,7 +40,6 @@ __all__ = [
     "Arrangement",
     "WeakCombData",
     "parse_arrangement",
-    "boolean_arrangement",
     "ceva_arrangement",
     "random_rational_arrangement",
     "intersection_data",
@@ -198,10 +197,6 @@ class WeakCombData:
 
 def ceva_arrangement() -> CevaArrangement:
     return CevaArrangement()
-
-
-def boolean_arrangement() -> LineArrangement:
-    return LineArrangement(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 # ---------------------------------------------------------------------------

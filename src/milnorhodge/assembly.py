@@ -106,10 +106,6 @@ class SurfaceH3Data:
             if not r.is_effective():
                 raise ValueError("H3 multiplicities must be nonnegative")
 
-    @classmethod
-    def zero(cls, d: int) -> "SurfaceH3Data":
-        return cls(HodgeTable(d))
-
     @property
     def d(self) -> int:
         return self.table.d
@@ -208,10 +204,6 @@ class Spectrum:
     d: int
     chi_fiber: int
     entries: tuple[tuple[Fraction, int], ...]
-
-    def m(self, a) -> int:
-        a = Fraction(a)
-        return dict(self.entries).get(a, 0)
 
     def total(self) -> int:
         return sum(m for _, m in self.entries)

@@ -49,9 +49,9 @@ def _load_h3(path: str) -> assembly.SurfaceH3Data:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests too deeply to read") from exc
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path} is not an H3 table: missing or malformed {exc}") from exc
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ParseError(f"{path} is not an H3 table: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not an H3 table: {exc}") from exc
     try:
         return assembly.SurfaceH3Data(table)

@@ -15,13 +15,13 @@ x^a y^b z^c with 0 <= a, b <= k-2 and 0 <= c <= d-2.  Each monomial carries
 * a Hodge bidegree read off from ell: noninteger ell in (0,1), (1,2), (2,3)
   gives (2,0), (1,1), (0,2); integer ell gives the weight-3 piece (3-ell, ell).
 
-``milnor_basis`` is this enumeration, the reference definition; no other
-function here walks it.  With s = a+b+2 and t = c+1, ell = s/k + t/d depends
-on (a, b) only through s, which min(s-1, 2k-1-s) pairs reach.  So
-``local_hodge_table`` tabulates the running sums of these counts once and
-reads each (p, q, character) as a difference of two entries, O(k + d) integer
-steps, and ``local_spectrum`` lists the multiset from the (2k-3)(d-1) pairs
-(s, t).  The test suite pins both against the enumeration for every
+This basis is the definition; no function here walks it.  With s = a+b+2 and
+t = c+1, ell = s/k + t/d depends on (a, b) only through s, which
+min(s-1, 2k-1-s) pairs reach.  So ``local_hodge_table`` tabulates the running
+sums of these counts once and reads each (p, q, character) as a difference of
+two entries, O(k + d) integer steps, and ``local_spectrum`` lists the multiset
+from the (2k-3)(d-1) pairs (s, t).  The enumeration itself lives in the test
+suite (``tests/conftest.py``), the reference both are pinned against for every
 2 <= k <= d <= 20.  ``link_h1`` reads H^1 of the link off the weight-3 part;
 link duality and two trivial classes give the rest.
 """
@@ -37,9 +37,7 @@ from .repring import HodgeTable, ReprClass
 
 __all__ = [
     "OrdinarySing",
-    "MonomialDatum",
     "LocalHodgeTable",
-    "milnor_basis",
     "local_hodge_table",
     "link_h1",
     "local_spectrum",
@@ -63,37 +61,6 @@ class OrdinarySing:
 
 
 @dataclass(frozen=True)
-class MonomialDatum:
-    a: int
-    b: int
-    c: int
-    ell: Fraction
-    char: int  # exponent of the character lam^char
-    p: int
-    q: int
-
-
-def milnor_basis(sing: OrdinarySing) -> list[MonomialDatum]:
-    """The (k-1)^2 (d-1) monomials with spectral and Hodge data attached.
-
-    The reference enumeration: ``local_hodge_table`` and ``local_spectrum``
-    give its census and its spectrum in closed form.
-    """
-    k, d = sing.k, sing.d
-    out = []
-    for a in range(k - 1):
-        for b in range(k - 1):
-            for c in range(d - 1):
-                # ell = (a+1)/k + (b+1)/k + (c+1)/d = n / kd, compared in integers
-                n = (a + b + 2) * d + (c + 1) * k
-                e, rest = divmod(n, k * d)
-                assert 0 < n < 3 * k * d
-                p, q = ((2, 0), (1, 1), (0, 2))[e] if rest else (3 - e, e)
-                out.append(MonomialDatum(a, b, c, Fraction(n, k * d), (-(c + 1)) % d, p, q))
-    return out
-
-
-@dataclass(frozen=True)
 class LocalHodgeTable:
     """Census of the monomial basis by (p, q) and character: H^2 of the local Milnor fiber."""
 
@@ -106,7 +73,7 @@ _WINDOWS = ((2, 0), (2, 1), (1, 1), (1, 2), (0, 2))
 
 
 def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:
-    """Census of ``milnor_basis(sing)`` by (p, q, character), in closed form.
+    """Census of the monomial basis of ``sing`` by (p, q, character), in closed form.
 
     For t = c+1 the monomials have character lam^{d-t} and ell = s/k + t/d
     with s = a+b+2.  Writing tk = whole*d + rem, ell < e exactly when
@@ -130,7 +97,7 @@ def local_hodge_table(sing: OrdinarySing) -> LocalHodgeTable:
 
 
 def local_spectrum(sing: OrdinarySing) -> tuple[Fraction, ...]:
-    """The multiset of spectral numbers of ``milnor_basis(sing)``, sorted."""
+    """The multiset of spectral numbers of the monomial basis of ``sing``, sorted."""
     k, d = sing.k, sing.d
     grid = sorted(
         (Fraction(s * d + t * k, k * d), min(s - 1, 2 * k - 1 - s))

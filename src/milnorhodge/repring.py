@@ -204,14 +204,6 @@ class HodgeTable:
         out = {(n - p, n - q): r.involution() for (p, q), r in self.entries.items()}
         return HodgeTable(self.d, out)
 
-    def specialize_weight(self) -> dict[int, ReprClass]:
-        """Collapse u, v to one variable: weight w collects all p + q = w."""
-        out: dict[int, ReprClass] = {}
-        for (p, q), r in self.entries.items():
-            w = p + q
-            out[w] = out.get(w, ReprClass.zero(self.d)) + r
-        return {w: r for w, r in sorted(out.items()) if not r.is_zero()}
-
     # -- serialization
 
     def to_json_dict(self) -> dict:
@@ -223,17 +215,19 @@ class HodgeTable:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "HodgeTable":
-        """Inverse of ``to_json_dict``; TypeError unless entries is a list and d, p, q, mult are JSON integers."""
-        d = _json_int(data["d"])
+    def from_json_dict(cls, data: object) -> "HodgeTable":
+        """Inverse of ``to_json_dict``; TypeError unless the document and each entry are objects,
+        entries and mult are lists, and d, p, q and the multiplicities are JSON integers."""
+        d = _json_int(_json_typed(data, dict, "an object with keys d and entries")["d"])
         entries: dict[_Key, ReprClass] = {}
-        if type(items := data["entries"]) is not list:  # an empty object or string would read as the zero table
-            raise TypeError(f"expected a list of entries, got {items!r}")
-        for item in items:
+        # an empty object or string as entries would read as the zero table
+        for item in _json_typed(data["entries"], list, "a list of entries"):
+            _json_typed(item, dict, "each entry to be an object with keys p, q and mult")
             key = (_json_int(item["p"]), _json_int(item["q"]))
             if key in entries:
                 raise ValueError("duplicate (p, q) entry in table JSON")
-            entries[key] = ReprClass(d, [_json_int(v) for v in item["mult"]])
+            mult = _json_typed(item["mult"], list, "mult to be a list of integers")
+            entries[key] = ReprClass(d, [_json_int(v) for v in mult])
         return cls(d, entries)
 
     def __repr__(self) -> str:
@@ -241,11 +235,17 @@ class HodgeTable:
         return f"<HodgeTable d={self.d} {{{body}}}>"
 
 
+def _json_typed(value, kind: type, what: str):
+    """``value`` when its type is exactly ``kind``, else a TypeError naming what was found."""
+    if type(value) is not kind:
+        got = {type(None): "null", list: "a list", dict: "an object"}.get(type(value)) or repr(value)
+        raise TypeError(f"expected {what}, got {got}")
+    return value
+
+
 def _json_int(value) -> int:
     # a JSON true is a Python bool, which operator.index accepts as 1
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+    return _json_typed(value, int, "an integer")
 
 
 # ---------------------------------------------------------------------------

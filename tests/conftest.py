@@ -1,10 +1,13 @@
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from milnorhodge.arrangement import boolean_arrangement, ceva_arrangement, parse_arrangement
-from milnorhodge.assembly import SurfaceH3Data
+from milnorhodge.arrangement import LineArrangement, ceva_arrangement, parse_arrangement
+from milnorhodge.assembly import Spectrum, SurfaceH3Data
+from milnorhodge.localhodge import OrdinarySing
 from milnorhodge.repring import HodgeTable, ReprClass
 
 DATA = Path(__file__).parent / "data"
@@ -19,6 +22,55 @@ def data_dir() -> Path:
 @pytest.fixture
 def golden_dir() -> Path:
     return GOLDEN
+
+
+def boolean_arrangement() -> LineArrangement:
+    return LineArrangement(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@dataclass(frozen=True)
+class MonomialDatum:
+    a: int
+    b: int
+    c: int
+    ell: Fraction
+    char: int  # exponent of the character lam^char
+    p: int
+    q: int
+
+
+def milnor_basis(sing: OrdinarySing) -> list[MonomialDatum]:
+    """The (k-1)^2 (d-1) monomials x^a y^b z^c with spectral and Hodge data attached.
+
+    The reference enumeration: ``local_hodge_table`` and ``local_spectrum``
+    give its census and its spectrum in closed form.
+    """
+    k, d = sing.k, sing.d
+    out = []
+    for a in range(k - 1):
+        for b in range(k - 1):
+            for c in range(d - 1):
+                # ell = (a+1)/k + (b+1)/k + (c+1)/d = n / kd, compared in integers
+                n = (a + b + 2) * d + (c + 1) * k
+                e, rest = divmod(n, k * d)
+                assert 0 < n < 3 * k * d
+                p, q = ((2, 0), (1, 1), (0, 2))[e] if rest else (3 - e, e)
+                out.append(MonomialDatum(a, b, c, Fraction(n, k * d), (-(c + 1)) % d, p, q))
+    return out
+
+
+def specialize_weight(table: HodgeTable) -> dict[int, ReprClass]:
+    """Collapse u, v to one variable: weight w collects all p + q = w."""
+    out: dict[int, ReprClass] = {}
+    for (p, q), r in table.entries.items():
+        w = p + q
+        out[w] = out.get(w, ReprClass.zero(table.d)) + r
+    return {w: r for w, r in sorted(out.items()) if not r.is_zero()}
+
+
+def spectrum_mult(spec: Spectrum, a) -> int:
+    """The multiplicity of the exponent ``a`` in ``spec``, 0 when absent."""
+    return dict(spec.entries).get(Fraction(a), 0)
 
 
 @pytest.fixture

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA
+from conftest import DATA, boolean_arrangement
 from milnorhodge.arrangement import (
     CevaArrangement,
     LineArrangement,
     WeakCombData,
     _canonical_triple,
-    boolean_arrangement,
     ceva_arrangement,
     epoly_V,
     intersection_data,

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, ceva_h3
+from conftest import DATA, boolean_arrangement, ceva_h3, spectrum_mult
 from milnorhodge import assembly, pointcount
 from milnorhodge.arrangement import (
     LineArrangement,
     WeakCombData,
-    boolean_arrangement,
     ceva_arrangement,
     random_rational_arrangement,
     weak_comb_data,
@@ -111,13 +110,13 @@ def test_weight1_ceva():
 
 
 def test_weight1_zero_inputs_give_zero_table():
-    w1 = primitive_h2_weight1(HodgeTable(9, {}), SurfaceH3Data.zero(9))
+    w1 = primitive_h2_weight1(HodgeTable(9, {}), SurfaceH3Data(HodgeTable(9)))
     assert w1.support() == []
 
 
 def test_weight1_single_node_no_weight3():
     # a (2, 3) point has no weight-3 classes, so nothing survives
-    w1 = primitive_h2_weight1(local_hodge_table(OrdinarySing(2, 3)).table, SurfaceH3Data.zero(3))
+    w1 = primitive_h2_weight1(local_hodge_table(OrdinarySing(2, 3)).table, SurfaceH3Data(HodgeTable(3)))
     assert w1.support() == []
 
 
@@ -137,16 +136,16 @@ def test_weight2_ceva_value_at_lam3():
 
 def test_weight2_smooth_case_returns_fermat():
     fermat = fermat_surface_table(5)
-    w2 = primitive_h2_weight2(fermat, HodgeTable(5, {}), SurfaceH3Data.zero(5))
+    w2 = primitive_h2_weight2(fermat, HodgeTable(5, {}), SurfaceH3Data(HodgeTable(5)))
     assert w2 == fermat
 
 
 def test_weight_assemblies_reject_mixed_degrees():
     loc = local_hodge_table(OrdinarySing(2, 3)).table
     with pytest.raises(ValueError):
-        primitive_h2_weight1(loc, SurfaceH3Data.zero(5))
+        primitive_h2_weight1(loc, SurfaceH3Data(HodgeTable(5)))
     with pytest.raises(ValueError):
-        primitive_h2_weight2(fermat_surface_table(5), loc, SurfaceH3Data.zero(5))
+        primitive_h2_weight2(fermat_surface_table(5), loc, SurfaceH3Data(HodgeTable(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +232,7 @@ CEVA_SPECTRUM = {
 def test_ceva_spectrum_complete():
     spec = spectrum(weak_comb_data(ceva_arrangement()))
     assert dict(spec.entries) == CEVA_SPECTRUM
-    assert spec.m(3) == 0
+    assert spectrum_mult(spec, 3) == 0
     assert spec.total() == 80 == spec.chi_fiber - 1
 
 
@@ -418,7 +417,7 @@ def test_spectrum_formula_matches_full_chain_and_ignores_h3():
 def test_spectrum_chain_boolean_zero_h3():
     arr = boolean_arrangement()
     direct = dict(spectrum(weak_comb_data(arr)).entries)
-    assert _spectrum_via_chain(arr, SurfaceH3Data.zero(3)) == direct
+    assert _spectrum_via_chain(arr, SurfaceH3Data(HodgeTable(3))) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +513,7 @@ def test_pencil_assembly_pins_h3_orientation():
 def test_checks_degenerate_smooth_case():
     # one line: no singular points; the localization identity reads 0 = 0
     arr = LineArrangement(((1, 0, 0),))
-    report = assemble_all(weak_comb_data(arr), SurfaceH3Data.zero(1))
+    report = assemble_all(weak_comb_data(arr), SurfaceH3Data(HodgeTable(1)))
     assert report.all_pass()
     # X is the plane here, so P_c(F) is the affine plane class
     assert report.pcf == HodgeTable(1, {(2, 2): ReprClass.trivial(1)})
@@ -590,7 +589,7 @@ _WITNESSES = {
     "local_dimension_law_k*": lambda mp: _patched(
         mp, assembly, "local_hodge_table", lambda sing: LocalHodgeTable(sing, HodgeTable(sing.d))
     ),
-    "assembly": lambda mp: _suite(SurfaceH3Data.zero(5)),
+    "assembly": lambda mp: _suite(SurfaceH3Data(HodgeTable(5))),
     "link_localization_identity": lambda mp: _corrupt_h3(),
     "conjugation_symmetry": lambda mp: _corrupt_h3(),
     "euler_characteristic_identity": lambda mp: _corrupt_h3(),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milnorhodge.arrangement import boolean_arrangement
+from conftest import boolean_arrangement
 from milnorhodge.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -370,6 +370,51 @@ def test_h3_json_that_is_no_table_is_parse_error(capsys, tmp_path, edit):
     code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "ceva.txt"), "--h3x", str(path))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"d": 9.0, "entries": []}', "expected an integer, got 9.0"),
+        ("null", "expected an object with keys d and entries, got null"),
+        ("[1, 2]", "expected an object with keys d and entries, got a list"),
+        ('{"d": 9, "entries": [1]}', "expected each entry to be an object with keys p, q and mult, got 1"),
+        ('{"d": 9, "entries": [{"p": 2, "q": 1, "mult": 5}]}', "expected mult to be a list of integers, got 5"),
+        ('{"entries": []}', "missing key 'd'"),
+    ],
+    ids=["float-d", "null", "list", "entry-int", "mult-int", "no-d"],
+)
+def test_h3_json_that_is_no_table_names_the_fault_in_a_sentence(capsys, tmp_path, text, reason):
+    path = tmp_path / "h3.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, "h2f", "--arrangement", str(DATA / "pappus.txt"), "--h3x", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": "parse_error", "message": f"{path} is not an H3 table: {reason}"}
+
+
+_H3_KEYS = st.sampled_from(["d", "entries", "p", "q", "mult"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_H3_KEYS, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(value=_JSON_VALUES)
+def test_any_json_as_h3_gives_one_document_and_no_python_wording(contract_dir, value):
+    path = contract_dir / "any_h3.json"
+    path.write_text(json.dumps(value))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["h2f", "--arrangement", str(DATA / "boolean.txt"), "--h3x", str(path)])
+    assert code in (0, 1)
+    payload = json.loads(stdout.getvalue())  # exactly one document: trailing text fails to parse
+    if code == 1:
+        assert not any(
+            phrase in payload["message"]
+            for phrase in ("object is not", "indices must be", "not subscriptable", "not iterable")
+        ), payload
 
 
 def test_h3_table_of_the_wrong_shape_is_error(capsys, tmp_path):

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import milnor_basis, specialize_weight
 from milnorhodge.errors import InvalidSing
 from milnorhodge.localhodge import (
     OrdinarySing,
     link_h1,
     local_hodge_table,
     local_spectrum,
-    milnor_basis,
 )
 from milnorhodge.repring import HodgeTable, ReprClass
 
@@ -54,7 +54,7 @@ def test_reference_table_k3_d9():
     assert table.entry(2, 0) == ReprClass.character(9, 7) + ReprClass.character(9, 8)
     assert table.entry(0, 2) == ReprClass.character(9, 1) + ReprClass.character(9, 2)
     assert table.entry(1, 1) == ReprClass(9, (0, 3, 3, 3, 4, 4, 3, 3, 3))
-    weights = table.specialize_weight()
+    weights = specialize_weight(table)
     assert weights[2].dim() == 30 and weights[3].dim() == 2
     assert table.total_dim() == 32
 
@@ -111,7 +111,7 @@ def test_weight3_count_matches_integer_ell_recount():
             if (Fraction(a + 1, k) + Fraction(b + 1, k) + Fraction(c + 1, d)).denominator == 1
         )
         table = local_hodge_table(sing).table
-        weight3 = table.specialize_weight().get(3, ReprClass.zero(d))
+        weight3 = specialize_weight(table).get(3, ReprClass.zero(d))
         assert weight3.dim() == integral
 
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import boolean_arrangement
 from milnorhodge.arrangement import (
     CevaArrangement,
     LineArrangement,
     _canonical_triple,
-    boolean_arrangement,
     ceva_arrangement,
     intersection_data,
     parse_arrangement,
@@ -1006,7 +1006,7 @@ def test_extracted_epoly_matches_assembled_compact_support_table(generic3):
     from milnorhodge.assembly import SurfaceH3Data, assemble_all
 
     for arr in (boolean_arrangement(), generic3):
-        report = assemble_all(weak_comb_data(arr), SurfaceH3Data.zero(arr.d))
+        report = assemble_all(weak_comb_data(arr), SurfaceH3Data(HodgeTable(arr.d)))
         tables = count_tables(arr, [7, 13, 19, 31])
         extracted = hodge_from_counts(fiber_fit(tables, arr.d), arr.d)
         assert extracted == report.pcf
