@@ -101,11 +101,10 @@ class CevaArrangement:
     d = 9
 
     def forms_mod(self, q: int) -> list[Triple]:
-        """The nine forms modulo the prime q for w a primitive cube root of unity, or w = 1, so that
-        they coincide in threes, when q != 1 (mod 3).  w and w^2 give the same nine lines."""
-        w = 1
-        if q % 3 == 1:  # x^((q-1)/3) is a cube root of unity, primitive when x is not a cube
-            w = next(w for x in range(2, q) if (w := pow(x, (q - 1) // 3, q)) != 1)
+        """The nine forms modulo a prime q = 1 (mod 3), for w a primitive cube root of unity in F_q; w
+        and w^2 give the same nine lines.  Counts ask for them only at q = 1 (mod 9), as for any d = 9.
+        x^((q-1)/3) is a cube root of unity, primitive when x is not a cube."""
+        w = next(w for x in range(2, q) if (w := pow(x, (q - 1) // 3, q)) != 1)
         roots = [-pow(w, j, q) % q for j in range(3)]
         return [(1, r, 0) for r in roots] + [(1, 0, r) for r in roots] + [(0, 1, r) for r in roots]
 

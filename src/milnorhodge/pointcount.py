@@ -69,8 +69,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import accumulate, islice, repeat
+from typing import TYPE_CHECKING, Sequence
 
 from .arrangement import Arrangement, _line_groups, _meeting_pairs
 from .arrangement import weak_comb_data  # noqa: F401  (unused; bench/tracing.py wraps this binding)
@@ -94,14 +94,16 @@ __all__ = [
     "fiber_fit",
     "complement_fit",
     "hodge_from_counts",
-    "DEFAULT_PRIME_BOUND",
+    "PRIME_SEARCH_BOUND",
     "MAX_PRIME",
 ]
 
-DEFAULT_PRIME_BOUND = 100_000
 # the largest prime counted at: its class table multiplies residues in int64 and peaks near 24 B/element
 MAX_PRIME = 2**21
 assert MAX_PRIME < 25_326_001  # where the bases of _is_prime stop being exact
+# where good_primes stops looking, so that every prime it finds can be counted
+PRIME_SEARCH_BOUND = 100_000
+assert PRIME_SEARCH_BOUND <= MAX_PRIME
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +209,24 @@ def _check_prime(arr: Arrangement, q: int) -> None:
         raise BadPrime(f"the arrangement has bad reduction modulo {q}")
 
 
-def good_primes(
-    arr: Arrangement,
-    count: int,
-    min_q: int = 2,
-    bound: int = DEFAULT_PRIME_BOUND,
-) -> list[PrimeField]:
-    """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction.
+def _check_fit_primes(primes: Sequence[int], degree: int | None = None) -> None:
+    """BadPrime if a prime repeats, then for a fit of ``degree`` NotEnoughPrimes below degree + 2 primes."""
+    if len(set(primes)) != len(primes):
+        raise BadPrime(f"a prime is repeated in {list(primes)}")
+    if degree is not None and len(primes) < degree + 2:
+        raise NotEnoughPrimes(f"need at least {degree + 2} primes, got {len(primes)}")
 
-    The search stops at ``min(bound, MAX_PRIME)``, so every prime found can be counted.
-    """
+
+def good_primes(arr: Arrangement, count: int, min_q: int = 2) -> list[PrimeField]:
+    """First ``count`` primes q >= min_q with q = 1 (mod d) and good reduction, searched up to PRIME_SEARCH_BOUND."""
     if count < 0:
         raise ValueError(f"cannot find {count} primes")
-    if count == 0:
-        return []
-    d, limit = arr.d, min(bound, MAX_PRIME)
     start = max(min_q, 2)
-    found: list[PrimeField] = []
-    for q in range(start + (1 - start) % d, limit + 1, d):
-        if _is_prime(q) and _good_reduction(arr, q):
-            found.append(PrimeField(q))
-            if len(found) == count:
-                return found
-    raise NotEnoughPrimes(f"found {len(found)} good primes up to {limit}, needed {count}")
+    candidates = range(start + (1 - start) % arr.d, PRIME_SEARCH_BOUND + 1, arr.d)
+    found = [PrimeField(q) for q in islice((q for q in candidates if _is_prime(q) and _good_reduction(arr, q)), count)]
+    if len(found) < count:
+        raise NotEnoughPrimes(f"found {len(found)} good primes up to {PRIME_SEARCH_BOUND}, needed {count}")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +448,12 @@ def complement_count(table: CountTable) -> int:
 def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1, target: str | None = None) -> list[CountTable]:
     """Count at several primes; workers are pure, merge order is the input order.
 
-    The one gate of a count request, before any count: ``_check_prime`` on each prime in turn,
-    then for a fit ``target`` that fit's rule on the primes, then BadPrime if a prime repeats.
+    The one gate of a count request, before any count: ``_check_prime`` on each prime in turn, then
+    ``_check_fit_primes`` on the list: no prime repeats, and for a fit ``target`` there are enough.
     """
     for q in primes:
         _check_prime(arr, q)
-    if target is not None:
-        _check_fit_primes(primes, _FIT_DEGREE[target], 0)
-    if len(set(primes)) != len(primes):
-        raise BadPrime(f"a prime is repeated in {list(primes)}")
+    _check_fit_primes(primes, _FIT_DEGREE.get(target))
     count = partial(count_classes, arr)
     if threads <= 1 or len(primes) <= 1:
         return [count(q) for q in primes]
@@ -477,8 +471,8 @@ def count_tables(arr: Arrangement, primes: Sequence[int], threads: int = 1, targ
 class FittedPoly:
     """Per-twist fit result: ascending Fraction coefficients, or a witness.
 
-    per_twist[j] is None exactly when witnesses[j] records the first prime at
-    which the interpolant through the leading primes fails.
+    per_twist[j] is None exactly when witnesses holds (j, q), q the first prime
+    at which the interpolant through the leading primes fails.
     """
 
     degree: int
@@ -527,35 +521,23 @@ def _agrees(coeffs: Sequence[Fraction], x: int, y: int) -> bool:
     return acc == y * den
 
 
-def _check_fit_primes(primes: Sequence[int], degree: int, twist: int) -> None:
-    if len(set(primes)) != len(primes):
-        raise BadPrime(f"twist {twist}: a prime is repeated in {list(primes)}")
-    if len(primes) < degree + 2:
-        raise NotEnoughPrimes(f"twist {twist}: need at least {degree + 2} primes, got {len(primes)}")
+def fit_polynomials(primes: Sequence[int], rows: Sequence[Sequence[int]], degree: int) -> FittedPoly:
+    """Interpolate each twist's counts through the first degree + 1 primes, then verify at the rest.
 
-
-def fit_polynomials(sequences: Mapping[int, Sequence[tuple[int, int]]], degree: int) -> FittedPoly:
-    """Interpolate each twist through its first degree+1 primes, then verify.
-
-    Needs at least degree + 2 primes per twist so that at least one prime is
-    a genuine consistency witness.
+    ``rows[j]`` holds twist j's count at each prime.  ``_check_fit_primes`` checks the primes once:
+    distinct, and at least degree + 2 of them, so that at least one prime is a genuine
+    consistency witness.  Twists often share a row; each distinct row is fitted once.
     """
-    per_twist: list[tuple[Fraction, ...] | None] = []
-    witnesses: list[tuple[int, int]] = []
-    fits: dict[tuple[tuple[int, int], ...], tuple[tuple[Fraction, ...], int | None]] = {}
-    for j in sorted(sequences):
-        pts = tuple(sequences[j])
-        if pts not in fits:  # twists often share a sequence; check and fit each one once
-            _check_fit_primes([q for q, _ in pts], degree, j)
-            coeffs = _lagrange(pts[: degree + 1])
-            fits[pts] = coeffs, next((q for q, y in pts if not _agrees(coeffs, q, y)), None)
-        coeffs, bad = fits[pts]
-        if bad is None:
-            per_twist.append(coeffs)
-        else:
-            per_twist.append(None)
-            witnesses.append((j, bad))
-    return FittedPoly(degree=degree, per_twist=tuple(per_twist), witnesses=tuple(witnesses))
+    _check_fit_primes(primes, degree)
+    rows = [tuple(row) for row in rows]
+    fits = {}
+    for row in dict.fromkeys(rows):
+        pts = list(zip(primes, row, strict=True))
+        coeffs = _lagrange(pts[: degree + 1])
+        fits[row] = coeffs, next((q for q, y in pts if not _agrees(coeffs, q, y)), None)
+    found = [fits[row] for row in rows]
+    per_twist = tuple(None if bad else coeffs for coeffs, bad in found)
+    return FittedPoly(degree, per_twist, tuple((j, bad) for j, (_, bad) in enumerate(found) if bad))
 
 
 # the degree in q of the fitted counts: the fiber is a surface, the complement a threefold
@@ -563,14 +545,14 @@ _FIT_DEGREE = {"fiber": 2, "complement": 3}
 
 
 def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
-    counts = [(t.q, twisted_counts(t)) for t in tables]
-    seqs = {j: [(q, tw[j]) for q, tw in counts] for j in range(d)}
-    return fit_polynomials(seqs, degree=_FIT_DEGREE["fiber"])
+    counts = [twisted_counts(t) for t in tables]
+    rows = [[tw[j] for tw in counts] for j in range(d)]
+    return fit_polynomials([t.q for t in tables], rows, degree=_FIT_DEGREE["fiber"])
 
 
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
-    seqs = {j: [(t.q, complement_count(t)) for t in tables] for j in range(d)}
-    return fit_polynomials(seqs, degree=_FIT_DEGREE["complement"])
+    row = [complement_count(t) for t in tables]
+    return fit_polynomials([t.q for t in tables], [row] * d, degree=_FIT_DEGREE["complement"])
 
 
 def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
@@ -590,8 +572,7 @@ def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
     entries = {}
     for i in range(width):
         traces = []
-        for j in range(d):
-            coeffs = fit.per_twist[j]
+        for j, coeffs in enumerate(fit.per_twist):
             c = coeffs[i] if i < len(coeffs) else Fraction(0)
             if c.denominator != 1:
                 raise DecodeError(f"coefficient of t^{i} at twist {j} is not an integer: {c}")

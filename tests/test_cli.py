@@ -527,11 +527,11 @@ def test_bad_reduction_prime_is_bad_prime(capsys):
 @pytest.mark.parametrize(
     "primes, code, message",
     [
-        ("10009", "not_enough_primes", "twist 0: need at least 4 primes, got 1"),
-        ("7,13,7,19", "bad_prime", "twist 0: a prime is repeated in [7, 13, 7, 19]"),
+        ("10009", "not_enough_primes", "need at least 4 primes, got 1"),
+        ("7,13,7,19", "bad_prime", "a prime is repeated in [7, 13, 7, 19]"),
         ("7,13,19,31,5", "bad_prime", "5 is not 1 modulo 3"),
         ("4,7,7", "bad_prime", "4 is not prime"),
-        ("", "not_enough_primes", "twist 0: need at least 4 primes, got 0"),
+        ("", "not_enough_primes", "need at least 4 primes, got 0"),
     ],
     ids=["one-prime", "repeated", "residue", "not-prime", "empty"],
 )
@@ -566,6 +566,33 @@ def test_check_primes_are_checked_before_counting(capsys, monkeypatch, primes, m
     assert json.loads(out) == {"error": "bad_prime", "message": message}
     argv = ["check", "--arrangement", str(DATA / "boolean.txt"), "--primes", primes, "--h3x", str(DATA / "no.json")]
     assert json.loads(run_cli(capsys, *argv)[1])["error"] == "file_not_found"  # H^3 is read before any count
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["check", "--primes", "7,7"], "bad_prime", "a prime is repeated in [7, 7]"),
+        (["count", "--target", "fiber", "--primes", "7,7,13,19"], "bad_prime", "a prime is repeated in [7, 7, 13, 19]"),
+        (["hodge-from-counts", "--target", "complement", "--primes", "7,13,7,19,31"],
+         "bad_prime", "a prime is repeated in [7, 13, 7, 19, 31]"),
+        (["count", "--target", "fiber", "--primes", "7,13,19"], "not_enough_primes", "need at least 4 primes, got 3"),
+    ],
+    ids=["check-repeated", "count-repeated", "hodge-from-counts-repeated", "count-too-few"],
+)
+def test_each_prime_list_rule_gives_one_message_in_every_command(capsys, argv, code, message):
+    rc, out = run_cli(capsys, *argv, "--arrangement", str(DATA / "boolean.txt"))
+    assert rc == 1
+    assert json.loads(out) == {"error": code, "message": message}
+
+
+def test_the_prime_search_limit_reaches_check(capsys, monkeypatch):
+    # without --primes, check searches for two good primes; below 30 Ceva has only 19
+    from milnorhodge import pointcount
+
+    monkeypatch.setattr(pointcount, "PRIME_SEARCH_BOUND", 30)
+    rc, out = run_cli(capsys, "check", "--arrangement", str(DATA / "ceva.txt"))
+    assert rc == 1
+    assert json.loads(out) == {"error": "not_enough_primes", "message": "found 1 good primes up to 30, needed 2"}
 
 
 @pytest.mark.parametrize("primes", ["7,,13,19,31", "7,13,19,31,", ",7,13,19,31", "7, ,13,19,31"])

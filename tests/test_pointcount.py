@@ -226,20 +226,20 @@ def test_bad_prime_wrong_residue():
         count_classes(boolean_arrangement(), 5)  # 5 != 1 mod 3
 
 
-def test_not_enough_primes_below_bound():
+def test_not_enough_primes_below_bound(monkeypatch):
+    import milnorhodge.pointcount as pointcount
+
+    monkeypatch.setattr(pointcount, "PRIME_SEARCH_BOUND", 40)
     with pytest.raises(NotEnoughPrimes):
-        good_primes(ceva_arrangement(), 3, min_q=19, bound=40)
+        good_primes(ceva_arrangement(), 3, min_q=19)
 
 
-def test_good_primes_stop_at_the_counting_bound():
-    # the next prime = 1 (mod 3) is 2097169, which count_classes would refuse
-    with pytest.raises(NotEnoughPrimes, match="found 0 good primes up to 2097152, needed 1"):
-        good_primes(boolean_arrangement(), 1, min_q=MAX_PRIME, bound=MAX_PRIME + 1000)
+def test_good_primes_zero_count_is_empty(monkeypatch):
+    # a limit with no prime q = 1 (mod 9) below it cannot raise
+    import milnorhodge.pointcount as pointcount
 
-
-def test_good_primes_zero_count_is_empty():
-    # returns at once: a bound with no prime q = 1 (mod 9) below it cannot raise
-    assert good_primes(ceva_arrangement(), 0, bound=3) == []
+    monkeypatch.setattr(pointcount, "PRIME_SEARCH_BOUND", 3)
+    assert good_primes(ceva_arrangement(), 0) == []
 
 
 def test_good_primes_negative_count_rejected():
@@ -265,18 +265,21 @@ def _good_primes_by_scan(d: int, bad: int, min_q: int, bound: int) -> list[int]:
     + [random_rational_arrangement(random.Random(40 + d), d) for d in range(1, 13)],
     ids=["boolean", "ceva"] + [f"random{d}" for d in range(1, 13)],
 )
-def test_good_primes_equal_a_plain_scan(arr):
+def test_good_primes_equal_a_plain_scan(monkeypatch, arr):
+    import milnorhodge.pointcount as pointcount
+
     bad = _bad_modulus(arr)
     for min_q in (-4, 0, 1, 2, 3, 20, 50, 102, 311):
         for bound in (10, 97, 400, 1200):
+            monkeypatch.setattr(pointcount, "PRIME_SEARCH_BOUND", bound)
             expected = _good_primes_by_scan(arr.d, bad, min_q, bound)
             for count in (1, 4, 9):
                 if len(expected) >= count:
-                    found = good_primes(arr, count, min_q=min_q, bound=bound)
+                    found = good_primes(arr, count, min_q=min_q)
                     assert [f.p for f in found] == expected[:count], (min_q, bound, count)
                 else:
                     with pytest.raises(NotEnoughPrimes):
-                        good_primes(arr, count, min_q=min_q, bound=bound)
+                        good_primes(arr, count, min_q=min_q)
 
 
 def test_prime_field_generators():
@@ -316,8 +319,8 @@ def test_primes_above_the_counting_bound_are_bad_before_any_primality_test(monke
         ([7, 13, 8], None, BadPrime, "8 is not 1 modulo 3"),
         ([7, 13, 7], None, BadPrime, "a prime is repeated in [7, 13, 7]"),
         ([7, 13, 7, 19], None, BadPrime, "a prime is repeated in [7, 13, 7, 19]"),
-        ([7, 13, 19], "fiber", NotEnoughPrimes, "twist 0: need at least 4 primes, got 3"),
-        ([7, 13, 7, 19], "complement", BadPrime, "twist 0: a prime is repeated in [7, 13, 7, 19]"),
+        ([7, 13, 19], "fiber", NotEnoughPrimes, "need at least 4 primes, got 3"),
+        ([7, 13, 7, 19], "complement", BadPrime, "a prime is repeated in [7, 13, 7, 19]"),
         ([4, 7, 7], "fiber", BadPrime, "4 is not prime"),  # each prime is checked before the fit's rule
     ],
     ids=["residue", "repeated", "repeated-of-four", "fit-too-few", "fit-repeated", "fit-not-prime"],
@@ -821,7 +824,8 @@ def test_two_varying_lines_count_without_the_block_loop(monkeypatch, data_dir):
 
     monkeypatch.setattr(pointcount, "_window_rows", no_blocks)
     arr = parse_arrangement((data_dir / "generic4.txt").read_text())
-    q = good_primes(arr, 1, min_q=10**6, bound=2 * 10**6)[0].p
+    monkeypatch.setattr(pointcount, "PRIME_SEARCH_BOUND", 2 * 10**6)
+    q = good_primes(arr, 1, min_q=10**6)[0].p
     table = count_classes(arr, q)
     assert sum(table.class_counts) + table.zero_count == q**3
     assert complement_count(table) == weak_comb_data(arr).charpoly_value(q)
@@ -840,12 +844,12 @@ def test_boolean_fiber_fit():
 
 
 def test_constant_counts_fit_degree_zero():
-    fit = fit_polynomials({0: [(7, 5), (13, 5), (19, 5), (31, 5)]}, degree=2)
+    fit = fit_polynomials([7, 13, 19, 31], [[5, 5, 5, 5]], degree=2)
     assert fit.per_twist == ((Fraction(5),),)
 
 
 def test_fit_flags_non_polynomial_with_witness():
-    fit = fit_polynomials({0: [(7, 1), (13, 2), (19, 4), (31, 100)]}, degree=2)
+    fit = fit_polynomials([7, 13, 19, 31], [[1, 2, 4, 100]], degree=2)
     assert not fit.is_polynomial()
     assert fit.witnesses == ((0, 31),)
     assert fit.per_twist == (None,)
@@ -853,12 +857,12 @@ def test_fit_flags_non_polynomial_with_witness():
 
 def test_fit_rejects_repeated_prime():
     with pytest.raises(BadPrime):
-        fit_polynomials({0: [(7, 1), (7, 1), (13, 2), (19, 4)]}, degree=2)
+        fit_polynomials([7, 7, 13, 19], [[1, 1, 2, 4]], degree=2)
 
 
 def test_fit_needs_a_witness_prime():
     with pytest.raises(NotEnoughPrimes):
-        fit_polynomials({0: [(7, 1), (13, 1), (19, 1)]}, degree=2)
+        fit_polynomials([7, 13, 19], [[1, 1, 1]], degree=2)
 
 
 def _fraction_lagrange(points):
@@ -892,16 +896,16 @@ def test_lagrange_equals_the_fraction_basis_interpolant():
 
 def test_fit_witnesses_are_the_first_primes_off_the_interpolant():
     primes = [7, 13, 19, 31, 37, 43]
-    cubic = [(q, q**3 - 5 * q + 7) for q in primes]
-    half = [(q, q * (q - 1) // 2) for q in primes]  # fractional coefficients, fitted exactly
-    seqs = {
-        0: cubic,
-        1: [(q, y + (q == 43)) for q, y in cubic],
-        2: [(q, y + (q >= 31)) for q, y in cubic],
-        3: half,
-        4: [(q, y - (q == 37)) for q, y in half],
-    }
-    fit = fit_polynomials(seqs, degree=3)
+    cubic = [q**3 - 5 * q + 7 for q in primes]
+    half = [q * (q - 1) // 2 for q in primes]  # fractional coefficients, fitted exactly
+    rows = [
+        cubic,
+        [y + (q == 43) for q, y in zip(primes, cubic)],
+        [y + (q >= 31) for q, y in zip(primes, cubic)],
+        half,
+        [y - (q == 37) for q, y in zip(primes, half)],
+    ]
+    fit = fit_polynomials(primes, rows, degree=3)
     assert fit.witnesses == ((1, 43), (2, 37), (4, 37))
     assert fit.per_twist[0] == (Fraction(7), Fraction(-5), Fraction(0), Fraction(1))
     assert fit.per_twist[3] == (Fraction(0), Fraction(-1, 2), Fraction(1, 2))
