@@ -69,7 +69,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
 from typing import TYPE_CHECKING, Sequence
 
 from .arrangement import Arrangement, _line_groups, _meeting_pairs
@@ -188,13 +188,24 @@ def _good_reduction(arr: Arrangement, q: int) -> bool:
     arrangement keeps the group counts under 0 and each decision under q; threads that race store the same."""
     if (decided := vars(arr).get("_good_reduction")) is None:
         decided = vars(arr)["_good_reduction"] = {0: [len(sizes) for sizes in _line_groups(arr)]}
-    if (good := decided.get(q)) is None:  # (u : v) modulo q is v/u, q if u = 0, None if u = v = 0
+    if (good := decided.get(q)) is None:
         good = decided[q] = all(  # decided by the first line that comes up short
-            None not in (slopes := {v * pow(u, -1, q) % q if u % q else q if v % q else None for u, v in pairs})
-            and len(slopes) == n
+            None not in (slopes := _slopes(pairs, q)) and len(slopes) == n
             for pairs, n in zip(_meeting_pairs(arr.forms_mod(q)), decided[0])
         )
     return good
+
+
+def _slopes(pairs: list[tuple[int, int]], q: int) -> set[int | None]:
+    """Each (u : v) modulo q as v/u, q if u = 0, None if u = v = 0, with one pow: Montgomery's batch
+    inversion, which inverts the product of the nonzero u and peels one u off it at a time."""
+    us = [u % q for u, _ in pairs]
+    prefix = list(accumulate([u or 1 for u in us], lambda x, y: x * y % q, initial=1))
+    inv, slopes = pow(prefix.pop(), -1, q), set()  # 1 / (u_0 ... u_k), for k from the last pair down
+    for (_, v), u, p in zip(reversed(pairs), reversed(us), reversed(prefix)):
+        slopes.add(v * inv * p % q if u else q if v % q else None)
+        inv = inv * (u or 1) % q
+    return slopes
 
 
 def _check_prime(arr: Arrangement, q: int) -> None:
@@ -551,8 +562,9 @@ def fiber_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
 
 
 def complement_fit(tables: Sequence[CountTable], d: int) -> FittedPoly:
-    row = [complement_count(t) for t in tables]
-    return fit_polynomials([t.q for t in tables], [row] * d, degree=_FIT_DEGREE["complement"])
+    """Every twist has the one complement count at each prime: the row is fitted once, for all d twists."""
+    fit = fit_polynomials([t.q for t in tables], [[complement_count(t) for t in tables]], _FIT_DEGREE["complement"])
+    return FittedPoly(fit.degree, fit.per_twist * d, tuple((j, q) for j in range(d) for _, q in fit.witnesses))
 
 
 def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
@@ -568,17 +580,10 @@ def hodge_from_counts(fit: FittedPoly, d: int) -> HodgeTable:
         )
     if len(fit.per_twist) != d:
         raise ValueError("fit does not cover every twist")
-    width = max(len(c) for c in fit.per_twist)  # type: ignore[arg-type]
     entries = {}
-    for i in range(width):
-        traces = []
-        for j, coeffs in enumerate(fit.per_twist):
-            c = coeffs[i] if i < len(coeffs) else Fraction(0)
-            if c.denominator != 1:
-                raise DecodeError(f"coefficient of t^{i} at twist {j} is not an integer: {c}")
-            traces.append(int(c))
-        try:
-            entries[(i, i)] = decode_characters(traces)
+    for i, column in enumerate(zip_longest(*fit.per_twist, fillvalue=0)):
+        try:  # an integral coefficient goes as an int, any other to the decode, which names it
+            entries[(i, i)] = decode_characters([c.numerator if c.denominator == 1 else c for c in column])
         except DecodeError as exc:
             raise DecodeError(f"coefficient of t^{i}: {exc}") from exc
     return HodgeTable(d, entries)

@@ -17,7 +17,7 @@ the trace at ``lam^s`` depends only on ``gcd(s, d)``; the inverse transform then
 collapses to Ramanujan sums, ``m_j = (1/d) sum_{e | d} trace(e) c_{d/e}(j)``, and
 the input is a virtual character exactly when every such sum is divisible by d.
 Each sum is von Sterneck's ``c_n(j) = mu(n/h) phi(n) / phi(n/h)``, ``h = gcd(n, j)``,
-with mu and phi on the divisors of d taken from one factorization of d.
+with mu and phi on the divisors of d from one factorization of d, once per degree.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DecodeError
@@ -266,6 +267,26 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+@cache
+def _character_data(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """What a decode at degree d needs, built once per d: gcd(s, d) % d for each s, the divisors g of
+    d in ascending order and, for each g, the (trace index, coefficient) pairs whose sum is d m_g."""
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    mu, phi = dict.fromkeys(divisors, 1), dict(zip(divisors, divisors))
+    for p in _prime_factors(d):
+        for n in divisors:
+            if n % p == 0:
+                mu[n] *= 0 if n % (p * p) == 0 else -1
+                phi[n] = phi[n] // p * (p - 1)
+    # m_j depends only on g = gcd(j, d), and the trace of lam^(d/n) only on n.  Each Ramanujan
+    # sum is c_n(g) = mu(n/h) phi(n) / phi(n/h), h = gcd(n, g) (von Sterneck)
+    weights = tuple(
+        tuple((d // n % d, mu[m] * (phi[n] // phi[m])) for n in divisors if mu[m := n // math.gcd(n, g)])
+        for g in divisors
+    )
+    return tuple(math.gcd(s, d) % d for s in range(d)), tuple(divisors), weights  # shared by every caller
+
+
 def decode_characters(traces: Sequence[int]) -> ReprClass:
     """Recover the multiplicity vector from integer traces at all lam^s.
 
@@ -281,30 +302,19 @@ def decode_characters(traces: Sequence[int]) -> ReprClass:
     d = len(values)
     if d < 1:
         raise DecodeError("empty trace vector")
-    for s, t in enumerate(values):
-        if t != values[math.gcd(s, d) % d]:
-            raise DecodeError(
-                f"trace vector is not a virtual character of mu_{d} "
-                f"(trace at s={s} differs from its Galois conjugates)"
-            )
-    divisors = [e for e in range(1, d + 1) if d % e == 0]
-    mu, phi = dict.fromkeys(divisors, 1), dict(zip(divisors, divisors))
-    for p in _prime_factors(d):
-        for n in divisors:
-            if n % p == 0:
-                mu[n] *= 0 if n % (p * p) == 0 else -1
-                phi[n] = phi[n] // p * (p - 1)
-    # m_j depends only on g = gcd(j, d); j = g % d is the first index with it.  Each
-    # Ramanujan sum is c_n(g) = mu(n/h) phi(n) / phi(n/h), h = gcd(n, g) (von Sterneck)
-    by_gcd = {}
-    for g in divisors:
-        total = 0
-        for n in divisors:
-            m = n // math.gcd(n, g)
-            total += values[d // n % d] * mu[m] * (phi[n] // phi[m])
+    gcds, divisors, weights = _character_data(d)
+    if (conjugates := [values[g] for g in gcds]) != values:
+        s = next(s for s, (t, u) in enumerate(zip(values, conjugates)) if t != u)
+        raise DecodeError(
+            f"trace vector is not a virtual character of mu_{d} "
+            f"(trace at s={s} differs from its Galois conjugates)"
+        )
+    by_gcd = [0] * d  # m_g at g % d, the first index j with gcd(j, d) = g
+    for g, row in zip(divisors, weights):
+        total = sum([values[s] * w for s, w in row])
         if total % d:
             raise DecodeError(
                 f"trace vector is not a virtual character of mu_{d} (fails at j={g % d})"
             )
-        by_gcd[g] = total // d
-    return ReprClass(d, [by_gcd[math.gcd(j, d)] for j in range(d)])
+        by_gcd[g % d] = total // d
+    return ReprClass(d, [by_gcd[g] for g in gcds])

@@ -1,4 +1,6 @@
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +9,9 @@ import pytest
 
 from milnorhodge.arrangement import LineArrangement, ceva_arrangement, parse_arrangement
 from milnorhodge.assembly import Spectrum, SurfaceH3Data
+from milnorhodge.errors import DecodeError
 from milnorhodge.localhodge import OrdinarySing
-from milnorhodge.repring import HodgeTable, ReprClass
+from milnorhodge.repring import HodgeTable, ReprClass, _prime_factors
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -106,3 +109,49 @@ def ceva_h3(weight3_mult: int = 2) -> SurfaceH3Data:
 def h3_ceva() -> SurfaceH3Data:
     loaded = json.loads((DATA / "ceva_h3x.json").read_text())
     return SurfaceH3Data(HodgeTable.from_json_dict(loaded))
+
+
+def reference_decode_characters(traces) -> ReprClass:
+    """The decode that builds its Ramanujan weights at every call, kept as the oracle.
+
+    Recover the multiplicity vector from integer traces at all lam^s.
+
+    Raises :class:`DecodeError` when a trace is not an integer or when the
+    input is not the trace vector of any virtual mu_d-representation.
+    """
+    values = []
+    for s, t in enumerate(traces):
+        try:
+            values.append(operator.index(t))
+        except TypeError:
+            raise DecodeError(f"trace at s={s} is not an integer: {t!r}") from None
+    d = len(values)
+    if d < 1:
+        raise DecodeError("empty trace vector")
+    for s, t in enumerate(values):
+        if t != values[math.gcd(s, d) % d]:
+            raise DecodeError(
+                f"trace vector is not a virtual character of mu_{d} "
+                f"(trace at s={s} differs from its Galois conjugates)"
+            )
+    divisors = [e for e in range(1, d + 1) if d % e == 0]
+    mu, phi = dict.fromkeys(divisors, 1), dict(zip(divisors, divisors))
+    for p in _prime_factors(d):
+        for n in divisors:
+            if n % p == 0:
+                mu[n] *= 0 if n % (p * p) == 0 else -1
+                phi[n] = phi[n] // p * (p - 1)
+    # m_j depends only on g = gcd(j, d); j = g % d is the first index with it.  Each
+    # Ramanujan sum is c_n(g) = mu(n/h) phi(n) / phi(n/h), h = gcd(n, g) (von Sterneck)
+    by_gcd = {}
+    for g in divisors:
+        total = 0
+        for n in divisors:
+            m = n // math.gcd(n, g)
+            total += values[d // n % d] * mu[m] * (phi[n] // phi[m])
+        if total % d:
+            raise DecodeError(
+                f"trace vector is not a virtual character of mu_{d} (fails at j={g % d})"
+            )
+        by_gcd[g] = total // d
+    return ReprClass(d, [by_gcd[math.gcd(j, d)] for j in range(d)])

@@ -12,6 +12,8 @@ from milnorhodge.arrangement import (
     CevaArrangement,
     LineArrangement,
     _canonical_triple,
+    _line_groups,
+    _meeting_pairs,
     ceva_arrangement,
     intersection_data,
     parse_arrangement,
@@ -25,6 +27,7 @@ from milnorhodge.pointcount import (
     FittedPoly,
     _good_reduction,
     _primitive_root,
+    _slopes,
     brute_force_count,
     complement_count,
     complement_fit,
@@ -132,6 +135,7 @@ def _assert_bad_modulus_matches_census(arr, lines_mod, primes):
 
 
 _PRIMES_BELOW_400 = [q for q in range(2, 400) if all(q % f for f in range(2, q))]
+_PRIMES_BELOW_2000 = [q for q in range(2, 2000) if all(q % f for f in range(2, math.isqrt(q) + 1))]
 
 
 def _rational_mod(arr):
@@ -219,6 +223,28 @@ def test_good_reduction_is_decided_at_the_first_line_that_loses_a_point(monkeypa
     assert not _good_reduction(arr, 3) and len(rows) == 1
     rows.clear()
     assert _good_reduction(arr, 5) and len(rows) == 5
+
+
+def _slopes_by_pow(pairs, q):
+    """The slopes of one line's meeting pairs with one pow per pair: (u : v) is v/u, q if u = 0, None if u = v = 0."""
+    return {v * pow(u, -1, q) % q if u % q else q if v % q else None for u, v in pairs}
+
+
+def test_batch_inverted_slopes_equal_one_pow_per_pair():
+    # every prime q = 1 (mod d) below 2,000; a pair with u = 0 modulo q stays out of the product chain
+    decisions, vertical = [], 0
+    randoms = [random_rational_arrangement(random.Random(600 + d), d, 60) for d in (2, 3, 4, 6, 9, 12, 20, 30)]
+    for arr in [ceva_arrangement(), *randoms]:
+        sizes = [len(groups) for groups in _line_groups(arr)]
+        for q in (q for q in _PRIMES_BELOW_2000 if (q - 1) % arr.d == 0):
+            rows = list(_meeting_pairs(arr.forms_mod(q)))
+            slopes = [_slopes_by_pow(pairs, q) for pairs in rows]
+            assert [_slopes(pairs, q) for pairs in rows] == slopes, (arr, q)
+            replay = all(None not in s and len(s) == n for s, n in zip(slopes, sizes))
+            assert _good_reduction(arr, q) == replay, (arr, q)
+            decisions.append(replay)
+            vertical += sum(u % q == 0 for pairs in rows for u, _ in pairs)
+    assert 800 < decisions.count(True) and 90 < decisions.count(False) and vertical > 100, vertical
 
 
 def test_bad_prime_wrong_residue():
@@ -975,13 +1001,31 @@ def test_synthetic_character_extraction():
 
 def test_extraction_rejects_fractional_coefficients():
     fit = FittedPoly(degree=1, per_twist=((Fraction(1, 2),),), witnesses=())
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as exc:
         hodge_from_counts(fit, 1)
+    assert str(exc.value) == "coefficient of t^0: trace at s=0 is not an integer: Fraction(1, 2)"
     with pytest.raises(ValueError, match="fit does not cover every twist"):
         hodge_from_counts(fit, 3)
     fit = FittedPoly(degree=1, per_twist=((Fraction(1),), (Fraction(0),), (Fraction(0),)), witnesses=())
     with pytest.raises(DecodeError, match=r"^coefficient of t\^0: trace vector is not a virtual character"):
         hodge_from_counts(fit, 3)  # integer traces (1, 0, 0) of no character
+
+
+def test_extraction_reads_each_coefficient_column_once(monkeypatch):
+    # E^{0,0} = C_1 + C_{-1}, E^{1,1} = -C_i - C_{-i} and E^{2,2} the regular class of mu_4 have the
+    # trace columns (2, 0, 2, 0), (-2, 0, 2, 0) and (4, 0, 0, 0); the fit trims trailing zeros
+    import milnorhodge.pointcount as pointcount
+
+    calls = []
+    real = pointcount.decode_characters
+    monkeypatch.setattr(pointcount, "decode_characters", lambda traces: calls.append(traces) or real(traces))
+    per_twist = ((2, -2, 4), (0,), (2, 2), (0,))
+    fit = FittedPoly(2, tuple(tuple(map(Fraction, c)) for c in per_twist), witnesses=())
+    assert hodge_from_counts(fit, 4) == HodgeTable(
+        4, {(0, 0): ReprClass(4, (1, 0, 1, 0)), (1, 1): ReprClass(4, (0, -1, 0, -1)), (2, 2): ReprClass(4, (1, 1, 1, 1))}
+    )
+    assert calls == [[2, 0, 2, 0], [-2, 0, 2, 0], [4, 0, 0, 0]]
+    assert all(type(traces) is list and all(type(t) is int for t in traces) for traces in calls)
 
 
 def test_complement_extraction_matches_betti_numbers(generic3):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import specialize_weight
+from conftest import reference_decode_characters, specialize_weight
 from milnorhodge.errors import DecodeError
+from milnorhodge import repring
 from milnorhodge.repring import HodgeTable, ReprClass, decode_characters
 
 
@@ -205,6 +206,42 @@ def test_decode_roundtrip_every_modulus_up_to_64():
             r = galois_stable_class(d, values)
             assert decode_characters(integer_traces(r)) == r, d
 
+
+
+def _decode_outcome(decode, traces):
+    try:
+        return decode(traces)
+    except DecodeError as exc:
+        return f"DecodeError: {exc}"
+
+
+def test_decode_equals_the_reference_at_every_modulus_up_to_64():
+    # the reference builds its weights at every call; the decode builds them once per degree, so
+    # the second pass starts from an empty cache again and must give the same outcomes
+    outcomes = []
+    for _ in range(2):
+        repring._character_data.cache_clear()
+        rng, seen = random.Random(41), [_decode_outcome(decode_characters, [])]
+        assert seen == [_decode_outcome(reference_decode_characters, [])]
+        for d in range(1, 65):
+            divisors = [g for g in range(1, d + 1) if d % g == 0]
+            for _ in range(3):
+                values = {g: rng.randint(-50, 50) for g in divisors}
+                character = integer_traces(galois_stable_class(d, values))
+                stable = [values[math.gcd(s, d)] for s in range(d)]  # Galois-stable, rarely a character
+                off, non_integer = list(character), list(character)
+                off[rng.randrange(d)] += rng.choice([-1, 1]) * rng.randint(1, 2 * d)
+                non_integer[rng.randrange(d)] = rng.choice([Fraction(1, 2), Fraction(3), 2.0, None, "1"])
+                for traces in (character, stable, off, non_integer):
+                    got = _decode_outcome(decode_characters, traces)
+                    assert got == _decode_outcome(reference_decode_characters, traces), (d, traces)
+                    seen.append(got)
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]
+    texts = [o for o in outcomes[0] if isinstance(o, str)]
+    assert sum(isinstance(o, ReprClass) for o in outcomes[0]) > 3 * 64
+    for part in ("empty trace vector", "differs from its Galois conjugates", "(fails at j=", "is not an integer"):
+        assert any(part in t for t in texts), part
 
 @pytest.mark.parametrize(
     "by_gcd, message",
